@@ -160,24 +160,9 @@ def _scatter(local: np.ndarray, elements: np.ndarray, n: int) -> sp.csr_matrix:
 def assemble_operators(
     mesh: Mesh, q: NodalField
 ) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """Assemble the mass, stiffness and q-weighted mass matrices.
-
-    The potential enters through its nodal interpolant, so the weighted mass
-    integrand is polynomial on every cell and the Gauss rule is exact.
-    """
-    if not q.mesh.matches(mesh):
-        raise ValueError("potential field is not aligned with the mesh")
-    phi, dphi, wq, _ = _reference_arrays(mesh.dim, mesh.h)
-    ne = mesh.elements.shape[0]
-    mass_loc = np.einsum("ip,jp,p->ij", phi, phi, wq)
-    stiff_loc = np.einsum("cip,cjp,p->ij", dphi, dphi, wq)
-    q_at_gauss = q.values[mesh.elements] @ phi
-    wmass_loc = np.einsum("ep,ip,jp,p->eij", q_at_gauss, phi, phi, wq)
-    n = mesh.n_nodes
-    mass = _scatter(np.tile(mass_loc.ravel(), ne), mesh.elements, n)
-    stiff = _scatter(np.tile(stiff_loc.ravel(), ne), mesh.elements, n)
-    wmass = _scatter(wmass_loc, mesh.elements, n)
-    return mass, stiff, wmass
+    """Assemble the mass, stiffness and q-weighted mass matrices."""
+    wmass = weighted_mass_matrix(mesh, q)
+    return mass_matrix(mesh), stiffness_matrix(mesh), wmass
 
 
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
@@ -185,6 +170,27 @@ def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     phi, _, wq, _ = _reference_arrays(mesh.dim, mesh.h)
     mass_loc = np.einsum("ip,jp,p->ij", phi, phi, wq)
     return _scatter(np.tile(mass_loc.ravel(), mesh.elements.shape[0]), mesh.elements, mesh.n_nodes)
+
+
+def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
+    """Assemble the stiffness matrix alone."""
+    _, dphi, wq, _ = _reference_arrays(mesh.dim, mesh.h)
+    stiff_loc = np.einsum("cip,cjp,p->ij", dphi, dphi, wq)
+    return _scatter(np.tile(stiff_loc.ravel(), mesh.elements.shape[0]), mesh.elements, mesh.n_nodes)
+
+
+def weighted_mass_matrix(mesh: Mesh, q: NodalField) -> sp.csr_matrix:
+    """Assemble the q-weighted mass matrix (q u, phi_i).
+
+    The potential enters through its nodal interpolant, so the weighted mass
+    integrand is polynomial on every cell and the Gauss rule is exact.
+    """
+    if not q.mesh.matches(mesh):
+        raise ValueError("potential field is not aligned with the mesh")
+    phi, _, wq, _ = _reference_arrays(mesh.dim, mesh.h)
+    q_at_gauss = q.values[mesh.elements] @ phi
+    wmass_loc = np.einsum("ep,ip,jp,p->eij", q_at_gauss, phi, phi, wq)
+    return _scatter(wmass_loc, mesh.elements, mesh.n_nodes)
 
 
 def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:

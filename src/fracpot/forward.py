@@ -3,24 +3,37 @@
 The scheme marches dbar^alpha u^n - Delta_h u^n + q u^n = f in weak form:
 at every step the interior system (b_0 tau^{-alpha} M + S + M_q) u^n = rhs
 is solved by CG, where the right-hand side carries the convolution-quadrature
-history.  Boundary nodes are pinned to the interpolated boundary data and the
-system matrix is assembled once per potential.
+history.  Boundary nodes are pinned to the interpolated boundary data.
+
+Everything that does not depend on the potential (M, S, the load, boundary
+data, u^0, the CQ weights) is built once per ProblemSpec, on first use, as
+its `discretization`; a forward solve assembles only M_q and the system
+matrix.  A march holds exactly (N+1) * n_nodes * 8 bytes of history and no
+second copy of it.  The terminal derivative dbar^alpha u^N comes from the
+last step itself: that step already forms the history part of the
+convolution, so dbar^alpha u^N = tau^{-alpha} (u^N + past_N) on interior
+nodes, and it is exactly zero on the boundary, whose trace is constant in
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
-from .cq import cq_weights, discrete_caputo
+from .cq import cq_weights
 from .fem import (
     Mesh,
     NodalField,
     assemble_load,
-    assemble_operators,
     interpolate_nodal,
+    mass_matrix,
+    stiffness_matrix,
+    weighted_mass_matrix,
 )
 from .sparselin import SolveFailure, solve_spd
 
@@ -73,6 +86,51 @@ class ProblemSpec:
     def tau(self) -> float:
         return self.T / self.num_steps
 
+    @cached_property
+    def discretization(self) -> Discretization:
+        """The potential-independent part of the scheme, built on first use.
+
+        It lives in the instance, so `dataclasses.replace` gives a new spec
+        with a setup of its own.
+        """
+        mesh = self.mesh
+        ii, bb = mesh.interior_nodes, mesh.boundary_nodes
+        scale = self.tau ** (-self.alpha)
+        w = cq_weights(self.alpha, self.num_steps, self.tau).weights
+        mass = mass_matrix(mesh)
+        boundary = interpolate_nodal(self.b_expr, mesh).values[bb]
+        u0 = interpolate_nodal(self.v_expr, mesh).values
+        u0[bb] = boundary
+        return Discretization(
+            scale=scale,
+            weights_reversed=np.ascontiguousarray(w[::-1]),
+            partial=np.cumsum(w),
+            base=(scale * w[0]) * mass + stiffness_matrix(mesh),
+            mass_int=mass[ii],
+            load_int=assemble_load(mesh, self.f_expr)[ii],
+            boundary_values=boundary,
+            u0=u0,
+        )
+
+
+@dataclass(frozen=True)
+class Discretization:
+    """Operators and data of a ProblemSpec that do not depend on the potential.
+
+    weights_reversed holds b_N, ..., b_1, b_0 in one contiguous array, so the
+    history convolution of step n is the BLAS product of its slice
+    [N - n, N) with the first n history rows.  partial[n] = b_0 + ... + b_n.
+    """
+
+    scale: float  # tau^{-alpha}
+    weights_reversed: np.ndarray
+    partial: np.ndarray
+    base: sp.csr_matrix  # tau^{-alpha} b_0 M + S
+    mass_int: sp.csr_matrix  # interior rows of M
+    load_int: np.ndarray  # interior entries of the load (f, phi_i)
+    boundary_values: np.ndarray  # b at the boundary nodes
+    u0: np.ndarray  # initial state, pinned to b on the boundary
+
 
 @dataclass(frozen=True)
 class ForwardSolution:
@@ -99,33 +157,23 @@ def _check_potential(spec: ProblemSpec, q: NodalField) -> None:
 def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
     """March the fully discrete scheme to the final time for a given potential."""
     _check_potential(spec, q)
+    setup = spec.discretization
     mesh = spec.mesh
     n_steps = spec.num_steps
-    tau = spec.tau
-    scale = tau ** (-spec.alpha)
-    wts = cq_weights(spec.alpha, n_steps, tau)
-    w = wts.weights
-    partial = np.cumsum(w)
-
-    mass, stiff, wmass = assemble_operators(mesh, q)
-    load = assemble_load(mesh, spec.f_expr)
-    b_field = interpolate_nodal(spec.b_expr, mesh)
-    u0 = interpolate_nodal(spec.v_expr, mesh).values.copy()
-
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
-    u0[bb] = b_field.values[bb]
-    system = (scale * w[0]) * mass + stiff + wmass
+    system = setup.base + weighted_mass_matrix(mesh, q)
     system_ii = system[np.ix_(ii, ii)].tocsr()
-    boundary_coupling = system[np.ix_(ii, bb)] @ b_field.values[bb]
-    mass_int = mass[ii]
-    rhs_base = load[ii] - boundary_coupling
+    rhs_base = setup.load_int - system[np.ix_(ii, bb)] @ setup.boundary_values
 
     history = np.empty((n_steps + 1, mesh.n_nodes))
-    history[0] = u0
-    x = u0[ii].copy()
+    history[0] = setup.u0
+    history[1:, bb] = setup.boundary_values
+    x = setup.u0[ii]
     for n in range(1, n_steps + 1):
-        past = w[n:0:-1] @ history[:n] - partial[n] * history[0]
-        rhs = rhs_base - scale * (mass_int @ past)
+        # past = sum_{j>=1} b_j u^{n-j} - (b_0 + ... + b_n) u^0
+        past = setup.weights_reversed[n_steps - n : n_steps] @ history[:n]
+        past -= setup.partial[n] * history[0]
+        rhs = rhs_base - setup.scale * (setup.mass_int @ past)
         x, report = solve_spd(system_ii, rhs, spec.lin_tol, x0=x)
         if not report.converged:
             raise SolveFailure(
@@ -133,9 +181,9 @@ def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
                 f"{report.final_residual:.3e} (target {spec.lin_tol:g})"
             )
         history[n, ii] = x
-        history[n, bb] = b_field.values[bb]
+    frac = np.zeros(mesh.n_nodes)
+    frac[ii] = setup.scale * (x + past[ii])
     terminal = NodalField(history[-1].copy(), mesh)
-    frac = discrete_caputo(history, wts, n_steps)
     return ForwardSolution(terminal, NodalField(frac, mesh), history)
 
 

@@ -180,13 +180,14 @@ def reconstruct(
         )
         increment = _mass_norm(q_next - q_vals, mass)
         increments.append(increment)
-        uphill = float(np.mean(q_next > q_vals + mesh.h))
+        if logger.isEnabledFor(logging.DEBUG):
+            uphill = float(np.mean(q_next > q_vals + mesh.h))
+            logger.debug(
+                "iteration %d: increment %.3e, uphill fraction %.3f", k + 1, increment, uphill
+            )
         q_vals = q_next
         if truth is not None:
             errors.append(_mass_norm(q_vals - truth, mass))
-        logger.debug(
-            "iteration %d: increment %.3e, uphill fraction %.3f", k + 1, increment, uphill
-        )
         if increment <= spec.fp_tol:
             converged = True
             break

@@ -35,6 +35,8 @@ from fracpot.fem import NodalField, build_mesh, interpolate_nodal, l2_norm
 from fracpot.forward import restrict_to_mesh, solve_forward
 from fracpot.inverse import compute_psi_h, reconstruct
 
+pytestmark = pytest.mark.acceptance
+
 SWEEP_DELTAS = [1e-2, 1e-3, 1e-4, 1e-5]
 ALL_ALPHAS = [0.25, 0.5, 0.75, 1.0]
 

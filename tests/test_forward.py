@@ -15,10 +15,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fracpot.cq import cq_weights
+from fracpot import forward
+from fracpot.cq import cq_weights, discrete_caputo
 from fracpot.fem import assemble_load, assemble_operators, build_mesh, interpolate_nodal
 from fracpot.forward import ForwardSolution, ProblemSpec, restrict_to_mesh, solve_forward
-from fracpot.experiments import benchmark_problem_1d, SMOOTH_POTENTIAL
+from fracpot.experiments import (
+    SMOOTH_POTENTIAL,
+    SMOOTH_POTENTIAL_2D,
+    benchmark_problem_1d,
+    benchmark_problem_2d,
+)
 
 
 def small_spec(alpha=0.7, cells=4, num_steps=2, tau_total=0.2):
@@ -144,6 +150,52 @@ class TestInvariants:
             errors.append(np.linalg.norm(solve_forward(coarse, q).terminal.values - reference))
         assert errors[0] > errors[1] > errors[2]
         assert errors[0] / errors[1] == pytest.approx(2.0, abs=0.6)
+
+
+class TestTerminalDerivative:
+    """The march takes dbar^alpha u^N from its last step; a separate pass of
+    cq.discrete_caputo over the whole history is the reference."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_discrete_caputo_of_the_history(self, alpha, dim):
+        if dim == 1:
+            spec = benchmark_problem_1d(alpha=alpha, cells=20, num_steps=30)
+            q = interpolate_nodal(SMOOTH_POTENTIAL, spec.mesh)
+        else:
+            spec = benchmark_problem_2d(alpha=alpha, cells=8, num_steps=20)
+            q = interpolate_nodal(SMOOTH_POTENTIAL_2D, spec.mesh)
+        solution = solve_forward(spec, q)
+        weights = cq_weights(spec.alpha, spec.num_steps, spec.tau)
+        reference = discrete_caputo(solution.history, weights, spec.num_steps)
+        ii, bb = spec.mesh.interior_nodes, spec.mesh.boundary_nodes
+        frac = solution.frac_deriv_terminal.values
+        np.testing.assert_allclose(frac[ii], reference[ii], rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(frac[bb], 0.0)
+
+
+class TestSetupLifetime:
+    def test_setup_is_built_once_per_spec(self, monkeypatch):
+        calls = []
+        original = forward.assemble_load
+
+        def counting_load(mesh, f):
+            calls.append(f)
+            return original(mesh, f)
+
+        monkeypatch.setattr(forward, "assemble_load", counting_load)
+        spec = small_spec(num_steps=4)
+        q = interpolate_nodal(lambda x: 1.0 + x, spec.mesh)
+        first = solve_forward(spec, q)
+        second = solve_forward(spec, q)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(first.history, second.history)
+
+        changed = dataclasses.replace(spec, f_expr=lambda x: 4.0 - x)
+        third = solve_forward(changed, q)
+        assert len(calls) == 2
+        assert changed.discretization is not spec.discretization
+        assert not np.array_equal(third.terminal.values, first.terminal.values)
 
 
 class TestValidation:

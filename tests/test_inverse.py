@@ -8,6 +8,7 @@ where the fixed point recovers the interpolated truth almost exactly.
 """
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -172,6 +173,15 @@ class TestReconstruct:
         b = reconstruct(spec, obs)
         np.testing.assert_array_equal(a.q_star.values, b.q_star.values)
         assert a.iterations == b.iterations
+
+    def test_debug_log_reports_the_uphill_fraction(self, caplog):
+        spec, obs = crime_free_setup()
+        quiet = reconstruct(spec, obs)
+        with caplog.at_level(logging.DEBUG, logger="fracpot.inverse"):
+            logged = reconstruct(spec, obs)
+        lines = [r.getMessage() for r in caplog.records if "uphill fraction" in r.getMessage()]
+        assert len(lines) == logged.iterations
+        np.testing.assert_array_equal(quiet.q_star.values, logged.q_star.values)
 
     def test_initial_guess_overrides_agree(self):
         spec, obs = crime_free_setup()

@@ -6,92 +6,35 @@ fixed-point iteration that reconstructs the potential from noisy terminal
 observations, with benchmark experiment drivers and a CLI.
 """
 
-from .cq import CQWeights, cq_weights, discrete_caputo
-from .expressions import ExprError, FieldExpr, parse_field_expr
-from .fem import (
-    Mesh,
-    NodalField,
-    apply_dirichlet,
-    assemble_load,
-    assemble_operators,
-    build_mesh,
-    embed_interior,
-    interpolate_nodal,
-    l2_norm,
-    mass_matrix,
-)
-from .forward import ForwardSolution, ProblemSpec, restrict_to_mesh, solve_forward
-from .inverse import (
-    DataFloorError,
-    ObservationData,
-    ReconstructionResult,
-    apply_K,
-    clamp_potential,
-    compute_psi_h,
-    fixed_point_update,
-    reconstruct,
-)
+from .expressions import parse_field_expr
+from .fem import build_mesh, interpolate_nodal
+from .forward import ProblemSpec, solve_forward
+from .inverse import DataFloorError, ObservationData, compute_psi_h, reconstruct
 from .experiments import (
-    INDICATOR_POTENTIAL,
-    SMOOTH_POTENTIAL,
-    SMOOTH_POTENTIAL_2D,
-    TRIANGLE_POTENTIAL,
-    RateRow,
-    RateTable,
     benchmark_problem_1d,
     benchmark_problem_2d,
-    convergence_history,
     make_observation,
     rate_sweep,
     relative_error,
 )
-from .sparselin import SolveFailure, SolveReport, solve_spd, spmv
+from .sparselin import SolveFailure
 
 __all__ = [
-    "CQWeights",
     "DataFloorError",
-    "ExprError",
-    "FieldExpr",
-    "ForwardSolution",
-    "INDICATOR_POTENTIAL",
-    "Mesh",
-    "NodalField",
     "ObservationData",
     "ProblemSpec",
-    "RateRow",
-    "RateTable",
-    "ReconstructionResult",
-    "SMOOTH_POTENTIAL",
-    "SMOOTH_POTENTIAL_2D",
     "SolveFailure",
-    "SolveReport",
-    "TRIANGLE_POTENTIAL",
-    "apply_K",
-    "apply_dirichlet",
-    "assemble_load",
-    "assemble_operators",
     "benchmark_problem_1d",
     "benchmark_problem_2d",
     "build_mesh",
-    "clamp_potential",
     "compute_psi_h",
-    "convergence_history",
-    "cq_weights",
-    "discrete_caputo",
-    "embed_interior",
-    "fixed_point_update",
     "interpolate_nodal",
-    "l2_norm",
     "make_observation",
-    "mass_matrix",
     "parse_field_expr",
     "rate_sweep",
     "reconstruct",
     "relative_error",
-    "restrict_to_mesh",
     "solve_forward",
-    "solve_spd",
-    "spmv",
 ]
 
 __version__ = "0.1.0"

@@ -13,12 +13,10 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .expressions import ExprError, FieldExpr, parse_field_expr
 from .fem import build_mesh, interpolate_nodal
 from .forward import ProblemSpec, solve_forward
-from .inverse import DataFloorError, ObservationData, clamp_potential, reconstruct
+from .inverse import DataFloorError, ObservationData, boundary_psi, clamp_potential, reconstruct
 from .experiments import (
     make_observation,
     rate_sweep,
@@ -84,24 +82,23 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
-    domain = _require(raw, "domain", "config")
-    fields = _require(raw, "fields", "config")
-    alpha = float(_require(raw, "alpha", "config"))
-    T = float(_require(raw, "T", "config"))
-    num_steps = int(_require(raw, "num_steps", "config"))
-    seed = int(raw.get("seed", 0))
-    delta = float(raw.get("delta", 0.0))
-    if overrides is not None:
-        if getattr(overrides, "alpha", None) is not None:
-            alpha = overrides.alpha
-        if getattr(overrides, "T", None) is not None:
-            T = overrides.T
-        if getattr(overrides, "delta", None) is not None:
-            delta = overrides.delta
-        if getattr(overrides, "seed", None) is not None:
-            seed = overrides.seed
-
     try:
+        domain = _require(raw, "domain", "config")
+        fields = _require(raw, "fields", "config")
+        alpha = float(_require(raw, "alpha", "config"))
+        T = float(_require(raw, "T", "config"))
+        num_steps = int(_require(raw, "num_steps", "config"))
+        seed = int(raw.get("seed", 0))
+        delta = float(raw.get("delta", 0.0))
+        if overrides is not None:
+            if getattr(overrides, "alpha", None) is not None:
+                alpha = overrides.alpha
+            if getattr(overrides, "T", None) is not None:
+                T = overrides.T
+            if getattr(overrides, "delta", None) is not None:
+                delta = overrides.delta
+            if getattr(overrides, "seed", None) is not None:
+                seed = overrides.seed
         mesh = build_mesh(
             (float(_require(domain, "a", "domain")), float(_require(domain, "b", "domain"))),
             int(_require(domain, "cells", "domain")),
@@ -122,24 +119,23 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
             max_iter=int(raw.get("max_iter", 50_000)),
             seed=seed,
         )
-    except (ValueError, TypeError) as exc:
+        fine_factor = raw.get("fine_factor")
+        fine_step_factor = raw.get("fine_step_factor")
+        return RunConfig(
+            spec=spec,
+            q_true=_optional_expr(fields, "q_true"),
+            q_boundary=_optional_expr(fields, "q_boundary"),
+            q0=_optional_expr(fields, "q0"),
+            delta=delta,
+            deltas=[float(d) for d in raw.get("deltas", DEFAULT_DELTAS)],
+            alphas=[float(a) for a in raw.get("alphas", DEFAULT_ALPHAS)],
+            fine_factor=None if fine_factor is None else int(fine_factor),
+            fine_step_factor=None if fine_step_factor is None else int(fine_step_factor),
+        )
+    except (ValueError, TypeError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid problem definition: {exc}") from exc
-
-    fine_factor = raw.get("fine_factor")
-    fine_step_factor = raw.get("fine_step_factor")
-    return RunConfig(
-        spec=spec,
-        q_true=_optional_expr(fields, "q_true"),
-        q_boundary=_optional_expr(fields, "q_boundary"),
-        q0=_optional_expr(fields, "q0"),
-        delta=delta,
-        deltas=[float(d) for d in raw.get("deltas", DEFAULT_DELTAS)],
-        alphas=[float(a) for a in raw.get("alphas", DEFAULT_ALPHAS)],
-        fine_factor=None if fine_factor is None else int(fine_factor),
-        fine_step_factor=None if fine_step_factor is None else int(fine_step_factor),
-    )
 
 
 def _need_q_true(cfg: RunConfig) -> FieldExpr:
@@ -171,14 +167,7 @@ def _boundary_psi(cfg: RunConfig):
         raise ConfigError(
             "invert needs the boundary trace of the potential: set fields.q_boundary or fields.q_true"
         )
-    mesh = cfg.spec.mesh
-    coords = mesh.node_coords[mesh.boundary_nodes]
-    x = coords[:, 0]
-    args = (x,) if mesh.dim == 1 else (x, coords[:, 1])
-    q_b = np.broadcast_to(np.asarray(source(*args), dtype=float), x.shape)
-    b_b = np.broadcast_to(np.asarray(cfg.spec.b_expr(*args), dtype=float), x.shape)
-    f_b = np.broadcast_to(np.asarray(cfg.spec.f_expr(*args), dtype=float), x.shape)
-    return q_b * b_b - f_b
+    return boundary_psi(cfg.spec, source)
 
 
 def _cmd_invert(cfg: RunConfig, args) -> int:

@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expressions import parse_field_expr
-from .fem import NodalField, Mesh, build_mesh, interpolate_nodal, mass_matrix, _mass_norm
+from .fem import NodalField, Mesh, build_mesh, interpolate_nodal, mass_matrix, mass_norm
 from .forward import ProblemSpec, restrict_to_mesh, solve_forward
-from .inverse import DataFloorError, ObservationData, reconstruct
+from .inverse import DataFloorError, ObservationData, boundary_psi, reconstruct
 from .sparselin import SolveFailure
 
 logger = logging.getLogger(__name__)
@@ -79,12 +79,6 @@ def benchmark_problem_2d(
     )
 
 
-def _eval_at(func, coords: np.ndarray, dim: int) -> np.ndarray:
-    x = coords[:, 0]
-    raw = func(x) if dim == 1 else func(x, coords[:, 1])
-    return np.array(np.broadcast_to(np.asarray(raw, dtype=float), x.shape))
-
-
 def make_observation(
     spec: ProblemSpec,
     q_true,
@@ -124,16 +118,11 @@ def make_observation(
         raise DataFloorError(
             f"terminal data reaches {low:.3e} after noise, below the floor {spec.M2_floor:g}"
         )
-    bb = mesh.boundary_nodes
-    coords_b = mesh.node_coords[bb]
-    psi_boundary = _eval_at(q_true, coords_b, mesh.dim) * _eval_at(
-        spec.b_expr, coords_b, mesh.dim
-    ) - _eval_at(spec.f_expr, coords_b, mesh.dim)
     return ObservationData(
         g_delta=NodalField(values, mesh),
         delta=delta,
-        boundary_trace=values[bb].copy(),
-        psi_boundary=psi_boundary,
+        boundary_trace=values[mesh.boundary_nodes].copy(),
+        psi_boundary=boundary_psi(spec, q_true),
     )
 
 
@@ -143,10 +132,10 @@ def relative_error(q_star: NodalField, q_true, mesh: Mesh) -> float:
         raise ValueError("reconstruction is not aligned with the mesh")
     mass = mass_matrix(mesh)
     truth = interpolate_nodal(q_true, mesh).values
-    denom = _mass_norm(truth, mass)
+    denom = mass_norm(truth, mass)
     if denom == 0.0:
         raise ValueError("true potential has zero norm")
-    return _mass_norm(q_star.values - truth, mass) / denom
+    return mass_norm(q_star.values - truth, mass) / denom
 
 
 @dataclass(frozen=True)
@@ -293,6 +282,8 @@ def read_field_csv(path, mesh: Mesh) -> NodalField:
         for row in reader:
             if not row:
                 continue
+            if len(row) != expected:
+                raise ValueError(f"row {row!r} has {len(row)} columns, the header has {expected}")
             index = int(row[0])
             if not 0 <= index < mesh.n_nodes:
                 raise ValueError(f"node index {index} outside the mesh (0..{mesh.n_nodes - 1})")

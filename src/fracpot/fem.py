@@ -114,11 +114,16 @@ def build_mesh(bounds: tuple[float, float], cells: int, dim: int = 1) -> Mesh:
     )
 
 
+def evaluate_at(func: Callable, coords: np.ndarray) -> np.ndarray:
+    """Evaluate a scalar function of space at the rows of an (n, dim) point array."""
+    x = coords[:, 0]
+    raw = func(x) if coords.shape[1] == 1 else func(x, coords[:, 1])
+    return np.array(np.broadcast_to(np.asarray(raw, dtype=float), x.shape))
+
+
 def interpolate_nodal(func: Callable, mesh: Mesh) -> NodalField:
     """Sample a scalar function of space at every node (Lagrange interpolant)."""
-    x = mesh.node_coords[:, 0]
-    raw = func(x) if mesh.dim == 1 else func(x, mesh.node_coords[:, 1])
-    vals = np.array(np.broadcast_to(np.asarray(raw, dtype=float), x.shape))
+    vals = evaluate_at(func, mesh.node_coords)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         where = tuple(mesh.node_coords[bad[0]])
@@ -210,37 +215,14 @@ def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
     return np.bincount(mesh.elements.ravel(), weights=local.ravel(), minlength=mesh.n_nodes)
 
 
-def _mass_norm(values: np.ndarray, mass: sp.csr_matrix) -> float:
+def mass_norm(values: np.ndarray, mass: sp.csr_matrix) -> float:
+    """FE L2 norm sqrt(v^T M v) of nodal values against an assembled mass matrix."""
     return float(np.sqrt(max(values @ (mass @ values), 0.0)))
 
 
-def l2_norm(field: NodalField, mesh: Mesh | None = None, mass: sp.csr_matrix | None = None) -> float:
-    """FE L2 norm sqrt(v^T M v); pass a preassembled mass matrix to reuse it."""
+def l2_norm(field: NodalField, mesh: Mesh | None = None) -> float:
+    """FE L2 norm sqrt(v^T M v) of a field, checked against the mesh."""
     mesh = field.mesh if mesh is None else mesh
     if not field.mesh.matches(mesh):
         raise ValueError("field is not aligned with the mesh")
-    if mass is None:
-        mass = mass_matrix(mesh)
-    return _mass_norm(field.values, mass)
-
-
-def apply_dirichlet(
-    matrix: sp.csr_matrix, rhs: np.ndarray, boundary_values: NodalField
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Eliminate boundary nodes: return (A_ii, r_i - A_ib x_b)."""
-    mesh = boundary_values.mesh
-    ii, bb = mesh.interior_nodes, mesh.boundary_nodes
-    if matrix.shape != (mesh.n_nodes, mesh.n_nodes):
-        raise ValueError("matrix size does not match the mesh")
-    reduced = matrix[np.ix_(ii, ii)].tocsr()
-    r = np.asarray(rhs, dtype=float)[ii] - matrix[np.ix_(ii, bb)] @ boundary_values.values[bb]
-    return reduced, r
-
-
-def embed_interior(interior_values: np.ndarray, boundary_values: NodalField) -> NodalField:
-    """Recombine interior solution values with prescribed boundary values."""
-    mesh = boundary_values.mesh
-    full = np.empty(mesh.n_nodes)
-    full[mesh.interior_nodes] = interior_values
-    full[mesh.boundary_nodes] = boundary_values.values[mesh.boundary_nodes]
-    return NodalField(full, mesh)
+    return mass_norm(field.values, mass_matrix(mesh))

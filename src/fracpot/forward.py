@@ -5,12 +5,12 @@ at every step the interior system (b_0 tau^{-alpha} M + S + M_q) u^n = rhs
 is solved by CG, where the right-hand side carries the convolution-quadrature
 history.  Boundary nodes are pinned to the interpolated boundary data.
 
-Everything that does not depend on the potential (M, S, the load, boundary
-data, u^0, the CQ weights) is built once per ProblemSpec, on first use, as
-its `discretization`; a forward solve assembles only M_q and the system
-matrix.  A march holds exactly (N+1) * n_nodes * 8 bytes of history and no
-second copy of it.  The terminal derivative dbar^alpha u^N comes from the
-last step itself: that step already forms the history part of the
+Everything that does not depend on the potential (M, S, the load, nodal f,
+boundary data, u^0, the CQ weights) is built once per ProblemSpec, on first
+use, as its `discretization`; a forward solve assembles only M_q and the
+system matrix.  A march holds exactly (N+1) * n_nodes * 8 bytes of history
+and no second copy of it.  The terminal derivative dbar^alpha u^N comes from
+the last step itself: that step already forms the history part of the
 convolution, so dbar^alpha u^N = tau^{-alpha} (u^N + past_N) on interior
 nodes, and it is exactly zero on the boundary, whose trace is constant in
 time.
@@ -106,8 +106,10 @@ class ProblemSpec:
             weights_reversed=np.ascontiguousarray(w[::-1]),
             partial=np.cumsum(w),
             base=(scale * w[0]) * mass + stiffness_matrix(mesh),
+            mass=mass,
             mass_int=mass[ii],
             load_int=assemble_load(mesh, self.f_expr)[ii],
+            f_nodes=interpolate_nodal(self.f_expr, mesh).values,
             boundary_values=boundary,
             u0=u0,
         )
@@ -126,8 +128,10 @@ class Discretization:
     weights_reversed: np.ndarray
     partial: np.ndarray
     base: sp.csr_matrix  # tau^{-alpha} b_0 M + S
+    mass: sp.csr_matrix  # M
     mass_int: sp.csr_matrix  # interior rows of M
     load_int: np.ndarray  # interior entries of the load (f, phi_i)
+    f_nodes: np.ndarray  # nodal interpolant of f
     boundary_values: np.ndarray  # b at the boundary nodes
     u0: np.ndarray  # initial state, pinned to b on the boundary
 

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import NodalField, Mesh, interpolate_nodal, mass_matrix, _mass_norm, assemble_operators
+from .fem import (
+    Mesh,
+    NodalField,
+    evaluate_at,
+    interpolate_nodal,
+    mass_matrix,
+    mass_norm,
+    stiffness_matrix,
+)
 from .forward import ProblemSpec, solve_forward
 from .sparselin import SolveFailure, solve_spd
 
@@ -51,6 +59,16 @@ class ObservationData:
             raise ValueError("terminal data must match the prescribed boundary trace exactly")
 
 
+def boundary_psi(spec: ProblemSpec, q) -> np.ndarray:
+    """Boundary trace q*b - f of the data Laplacian, one value per boundary node.
+
+    q is any field expression that holds the potential's boundary values.
+    """
+    coords = spec.mesh.node_coords[spec.mesh.boundary_nodes]
+    q_b, b_b, f_b = (evaluate_at(g, coords) for g in (q, spec.b_expr, spec.f_expr))
+    return q_b * b_b - f_b
+
+
 @dataclass(frozen=True)
 class ReconstructionResult:
     q_star: NodalField
@@ -77,7 +95,7 @@ def compute_psi_h(
     psi_b = np.asarray(psi_boundary, dtype=float)
     if psi_b.shape != bb.shape:
         raise ValueError("psi_boundary must carry one value per boundary node")
-    mass, stiff, _ = assemble_operators(mesh, NodalField(np.zeros(mesh.n_nodes), mesh))
+    mass, stiff = mass_matrix(mesh), stiffness_matrix(mesh)
     rhs = -(stiff @ g_delta.values)[ii] - mass[np.ix_(ii, bb)] @ psi_b
     interior, report = solve_spd(mass[np.ix_(ii, ii)].tocsr(), rhs, lin_tol)
     if not report.converged:
@@ -116,23 +134,6 @@ def _check_floor(obs: ObservationData, spec: ProblemSpec) -> None:
         )
 
 
-def apply_K(
-    spec: ProblemSpec, q: NodalField, obs: ObservationData, psi_h: NodalField
-) -> NodalField:
-    """One application of the clamped fixed-point map."""
-    _check_floor(obs, spec)
-    forward = solve_forward(spec, q)
-    f_nodes = interpolate_nodal(spec.f_expr, spec.mesh).values
-    updated = fixed_point_update(
-        f_nodes,
-        forward.frac_deriv_terminal.values,
-        psi_h.values,
-        obs.g_delta.values,
-        spec.M1,
-    )
-    return NodalField(updated, spec.mesh)
-
-
 def _initial_guess(spec: ProblemSpec, q0, f_nodes, psi_h, obs) -> np.ndarray:
     if q0 is None:
         return fixed_point_update(f_nodes, 0.0, psi_h.values, obs.g_delta.values, spec.M1)
@@ -161,11 +162,11 @@ def reconstruct(
     if not obs.g_delta.mesh.matches(mesh):
         raise ValueError("observation is not aligned with the problem mesh")
     psi_h = compute_psi_h(mesh, obs.g_delta, obs.psi_boundary, spec.lin_tol)
-    f_nodes = interpolate_nodal(spec.f_expr, mesh).values
-    mass = mass_matrix(mesh)
+    setup = spec.discretization
+    f_nodes, mass = setup.f_nodes, setup.mass
     q_vals = _initial_guess(spec, q0, f_nodes, psi_h, obs)
     truth = interpolate_nodal(q_true, mesh).values if q_true is not None else None
-    errors = [_mass_norm(q_vals - truth, mass)] if truth is not None else None
+    errors = [mass_norm(q_vals - truth, mass)] if truth is not None else None
 
     increments = []
     converged = False
@@ -178,7 +179,7 @@ def reconstruct(
             obs.g_delta.values,
             spec.M1,
         )
-        increment = _mass_norm(q_next - q_vals, mass)
+        increment = mass_norm(q_next - q_vals, mass)
         increments.append(increment)
         if logger.isEnabledFor(logging.DEBUG):
             uphill = float(np.mean(q_next > q_vals + mesh.h))
@@ -187,7 +188,7 @@ def reconstruct(
             )
         q_vals = q_next
         if truth is not None:
-            errors.append(_mass_norm(q_vals - truth, mass))
+            errors.append(mass_norm(q_vals - truth, mass))
         if increment <= spec.fp_tol:
             converged = True
             break

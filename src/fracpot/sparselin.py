@@ -1,4 +1,4 @@
-"""Sparse SPD kernel: matrix-vector products and Jacobi-preconditioned CG."""
+"""Sparse SPD kernel: a Jacobi-preconditioned conjugate gradient solver."""
 
 from __future__ import annotations
 
@@ -17,14 +17,6 @@ class SolveReport:
 
 class SolveFailure(RuntimeError):
     """A linear solve missed its tolerance within the iteration cap."""
-
-
-def spmv(a: sp.spmatrix, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product with deterministic row-wise accumulation."""
-    x = np.asarray(x, dtype=float)
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix is {a.shape}, vector has {x.shape[0]}")
-    return a @ x
 
 
 def solve_spd(

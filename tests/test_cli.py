@@ -6,17 +6,24 @@ printed summaries.  One subprocess smoke test exercises the module entry
 point the way a shell invocation would.
 """
 
+import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from fracpot.cli import main
+from fracpot.cli import load_config, main
 from fracpot.experiments import (
+    INDICATOR_POTENTIAL,
     SMOOTH_POTENTIAL,
+    SMOOTH_POTENTIAL_2D,
+    TRIANGLE_POTENTIAL,
     benchmark_problem_1d,
+    benchmark_problem_2d,
     make_observation,
     read_field_csv,
     relative_error,
@@ -229,6 +236,100 @@ class TestConfigErrors:
         config = write_config(tmp_path, alpha=1.5)
         assert main(["forward", "--config", str(config), "--out", str(tmp_path)]) == 2
         assert "invalid problem definition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("alpha", "half"),
+            ("T", [1.0]),
+            ("num_steps", "ten"),
+            ("seed", "abc"),
+            ("delta", {}),
+            ("deltas", 5),
+            ("alphas", ["x"]),
+            ("fine_factor", "x"),
+            ("fine_step_factor", [2]),
+        ],
+    )
+    def test_malformed_value_exits_2_without_traceback(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, **{key: value})
+        assert main(["forward", "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+
+
+LOADER_KEYS = (
+    "alpha", "T", "num_steps", "seed", "delta", "deltas", "alphas",
+    "fine_factor", "fine_step_factor",
+)
+# Bounded numbers only: a well-formed but huge num_steps would really be allocated.
+MALFORMED = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.text(max_size=4)
+    | st.sampled_from([-1, 0, 1, 3, 0.5, 2.5, -0.5, 1e-3, "1e-3", "nan", "inf", "-1"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@given(values=st.dictionaries(st.sampled_from(LOADER_KEYS), MALFORMED, min_size=1, max_size=3))
+def test_malformed_loader_values_never_escape_as_tracebacks(tmp_path_factory, values):
+    out = tmp_path_factory.mktemp("fuzz")
+    config = write_config(out, **values)
+    assert main(["forward", "--config", str(config), "--out", str(out)]) in {0, 2, 3}
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SWEEP_1D = {"deltas": [1e-2, 1e-3, 1e-4, 1e-5], "alphas": [0.25, 0.5, 0.75, 1.0],
+            "fine_factor": None, "fine_step_factor": None}
+HISTORY = {"delta": 1e-6, "q0": "4+x*(1-x)/5", "fine_factor": 1, "fine_step_factor": 20}
+SMALL_T = {"delta": 1e-3, "q0": None, "fine_factor": 10, "fine_step_factor": 10}
+# Each example config, with the command line overrides its README row uses, must
+# load the benchmark problem, truth and run settings of the study it stands for.
+EXAMPLE_STUDIES = [
+    ("sweep_smooth.json", {}, benchmark_problem_1d, {}, SMOOTH_POTENTIAL, SWEEP_1D),
+    ("sweep_triangle.json", {}, benchmark_problem_1d, {}, TRIANGLE_POTENTIAL, SWEEP_1D),
+    ("sweep_indicator.json", {}, benchmark_problem_1d, {}, INDICATOR_POTENTIAL, SWEEP_1D),
+    (
+        "sweep_2d.json", {}, benchmark_problem_2d, {}, SMOOTH_POTENTIAL_2D,
+        {"deltas": [1e-2, 1e-3], "alphas": [0.5], "fine_factor": 6, "fine_step_factor": 6},
+    ),
+    *[
+        (
+            "history_triangle.json", {"alpha": alpha}, benchmark_problem_1d,
+            {"alpha": alpha, "T": 2.0, "cells": 1000}, TRIANGLE_POTENTIAL, HISTORY,
+        )
+        for alpha in (0.25, 0.5, 0.75, 1.0)
+    ],
+    *[
+        (
+            "small_T.json", overrides, benchmark_problem_1d,
+            {"alpha": 0.5, "T": 1.0, **overrides, "max_iter": 5000}, TRIANGLE_POTENTIAL, SMALL_T,
+        )
+        for overrides in ({}, {"T": 1e-4}, {"T": 1e-4, "alpha": 0.25})
+    ],
+]
+
+
+def test_every_example_config_has_a_study():
+    assert {p.name for p in CONFIGS.glob("*.json")} == {case[0] for case in EXAMPLE_STUDIES}
+
+
+@pytest.mark.parametrize("name, overrides, problem, params, truth, settings", EXAMPLE_STUDIES)
+def test_example_config_loads_its_study(name, overrides, problem, params, truth, settings):
+    cfg = load_config(CONFIGS / name, argparse.Namespace(**overrides))
+    expected = problem(**params)
+    for attr in ("alpha", "T", "num_steps", "M1", "M2_floor", "lin_tol", "fp_tol", "max_iter", "seed"):
+        assert getattr(cfg.spec, attr) == getattr(expected, attr), attr
+    assert cfg.spec.mesh.matches(expected.mesh)
+    for attr in ("v_expr", "b_expr", "f_expr"):
+        assert str(getattr(cfg.spec, attr)) == str(getattr(expected, attr)), attr
+    assert str(cfg.q_true) == str(truth)
+    loaded = {key: getattr(cfg, key) for key in settings}
+    if "q0" in loaded and loaded["q0"] is not None:
+        loaded["q0"] = str(loaded["q0"])
+    assert loaded == settings
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -260,6 +260,21 @@ class TestCsvIO:
         with pytest.raises(ValueError, match="columns"):
             read_field_csv(path, mesh)
 
+    @pytest.mark.parametrize(
+        "dim, truncated",
+        [(1, "2,0.5"), (2, "0,0.0,7")],  # the value column is missing from the row
+    )
+    def test_read_rejects_a_truncated_row(self, tmp_path, dim, truncated):
+        mesh = build_mesh((0.0, 1.0), 2, dim=dim)
+        path = tmp_path / "truncated.csv"
+        write_field_csv(path, NodalField(np.ones(mesh.n_nodes), mesh))
+        lines = path.read_text().splitlines()
+        index = int(truncated.split(",")[0])
+        lines[1 + index] = truncated
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="columns"):
+            read_field_csv(path, mesh)
+
     def test_read_rejects_foreign_coordinates(self, tmp_path):
         mesh = build_mesh((0.0, 1.0), 4)
         other = build_mesh((0.0, 2.0), 4)

@@ -19,11 +19,11 @@ from fracpot.experiments import (
     make_observation,
     relative_error,
 )
-from fracpot.fem import NodalField, build_mesh, interpolate_nodal, l2_norm, mass_matrix, _mass_norm
+from fracpot.fem import NodalField, build_mesh, interpolate_nodal, l2_norm, mass_matrix, mass_norm
+from fracpot.forward import solve_forward
 from fracpot.inverse import (
     DataFloorError,
     ObservationData,
-    apply_K,
     clamp_potential,
     compute_psi_h,
     fixed_point_update,
@@ -153,7 +153,7 @@ class TestReconstruct:
         spec, obs = crime_free_setup()
         result = reconstruct(spec, obs, q_true=SMOOTH_POTENTIAL)
         truth = interpolate_nodal(SMOOTH_POTENTIAL, spec.mesh)
-        direct = _mass_norm(result.q_star.values - truth.values, mass_matrix(spec.mesh))
+        direct = mass_norm(result.q_star.values - truth.values, mass_matrix(spec.mesh))
         assert result.errors_vs_truth[-1] == pytest.approx(direct, abs=1e-15)
         assert len(result.errors_vs_truth) == result.iterations + 1
 
@@ -161,10 +161,15 @@ class TestReconstruct:
         spec, obs = crime_free_setup()
         result = reconstruct(spec, obs)
         psi_h = compute_psi_h(spec.mesh, obs.g_delta, obs.psi_boundary, spec.lin_tol)
-        again = apply_K(spec, result.q_star, obs, psi_h)
-        residual = l2_norm(
-            NodalField(again.values - result.q_star.values, spec.mesh)
+        forward = solve_forward(spec, result.q_star)
+        again = fixed_point_update(
+            interpolate_nodal(spec.f_expr, spec.mesh).values,
+            forward.frac_deriv_terminal.values,
+            psi_h.values,
+            obs.g_delta.values,
+            spec.M1,
         )
+        residual = l2_norm(NodalField(again - result.q_star.values, spec.mesh))
         assert residual <= 1e-9
 
     def test_deterministic(self):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fracpot.sparselin import SolveReport, solve_spd, spmv
+from fracpot.sparselin import SolveReport, solve_spd
 
 # Nodal values of x(1-x)/2 at x = 0.25, 0.5, 0.75 (exact binary fractions).
 POISSON_M4_SOLUTION = np.array([0.09375, 0.125, 0.09375])
@@ -22,37 +22,6 @@ def eliminated_laplacian_m4():
     a = sp.diags([[-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0]], [-1, 0, 1]).tocsr() / h
     rhs = np.full(3, h)  # load of f=1 against interior hats
     return a, rhs
-
-
-class TestSpmv:
-    def test_identity(self):
-        x = np.array([3.0, -1.0, 2.0])
-        np.testing.assert_array_equal(spmv(sp.identity(3, format="csr"), x), x)
-
-    def test_zero_matrix(self):
-        out = spmv(sp.csr_matrix((3, 3)), np.ones(3))
-        np.testing.assert_array_equal(out, np.zeros(3))
-
-    def test_stiffness_stencil_hand_value(self):
-        # 1D stiffness on (0,1) with M=2 (h=0.5) applied to the middle hat:
-        # the interior row is (1/h)[-1, 2, -1], so the middle entry is 2/h = 4.
-        h = 0.5
-        row = np.array([-1.0, 2.0, -1.0]) / h
-        a = sp.csr_matrix(np.diag([1.0, 0.0, 1.0]) + np.outer([0, 1, 0], row))
-        out = spmv(a, np.array([0.0, 1.0, 0.0]))
-        assert out[1] == 4.0
-
-    def test_matches_dense_product(self):
-        rng = np.random.default_rng(5)
-        dense = rng.standard_normal((20, 20))
-        dense[np.abs(dense) < 0.8] = 0.0
-        x = rng.standard_normal(20)
-        out = spmv(sp.csr_matrix(dense), x)
-        assert np.max(np.abs(out - dense @ x)) <= 1e-13
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            spmv(sp.identity(3, format="csr"), np.ones(4))
 
 
 class TestSolveSpd:

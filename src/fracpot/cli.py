@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .expressions import ExprError, FieldExpr, parse_field_expr
@@ -18,6 +18,8 @@ from .fem import build_mesh, interpolate_nodal
 from .forward import ProblemSpec, solve_forward
 from .inverse import DataFloorError, ObservationData, boundary_psi, clamp_potential, reconstruct
 from .experiments import (
+    check_observation_settings,
+    descending_noise_levels,
     make_observation,
     rate_sweep,
     relative_error,
@@ -114,24 +116,28 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
             f_expr=_parse_expr(fields, "f", "fields"),
             M1=float(raw.get("M1", 5.0)),
             M2_floor=float(raw.get("M2_floor", 1e-6)),
-            lin_tol=float(raw.get("lin_tol", 1e-12)),
             fp_tol=float(raw.get("tol", 1e-10)),
             max_iter=int(raw.get("max_iter", 50_000)),
             seed=seed,
         )
         fine_factor = raw.get("fine_factor")
         fine_step_factor = raw.get("fine_step_factor")
-        return RunConfig(
+        cfg = RunConfig(
             spec=spec,
             q_true=_optional_expr(fields, "q_true"),
             q_boundary=_optional_expr(fields, "q_boundary"),
             q0=_optional_expr(fields, "q0"),
             delta=delta,
-            deltas=[float(d) for d in raw.get("deltas", DEFAULT_DELTAS)],
-            alphas=[float(a) for a in raw.get("alphas", DEFAULT_ALPHAS)],
+            deltas=descending_noise_levels(raw.get("deltas", DEFAULT_DELTAS)),
+            # replace() runs ProblemSpec's range check on every order of the sweep
+            alphas=[
+                replace(spec, alpha=float(a)).alpha for a in raw.get("alphas", DEFAULT_ALPHAS)
+            ],
             fine_factor=None if fine_factor is None else int(fine_factor),
             fine_step_factor=None if fine_step_factor is None else int(fine_step_factor),
         )
+        check_observation_settings(cfg.delta, cfg.fine_factor, cfg.fine_step_factor)
+        return cfg
     except (ValueError, TypeError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -178,12 +184,7 @@ def _cmd_invert(cfg: RunConfig, args) -> int:
         g = read_field_csv(args.data, spec.mesh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read terminal data {args.data}: {exc}") from exc
-    obs = ObservationData(
-        g_delta=g,
-        delta=cfg.delta,
-        boundary_trace=g.values[spec.mesh.boundary_nodes].copy(),
-        psi_boundary=_boundary_psi(cfg),
-    )
+    obs = ObservationData(g, _boundary_psi(cfg))
     result = reconstruct(spec, obs, q_true=cfg.q_true, q0=cfg.q0)
     out = _out_dir(args)
     write_field_csv(out / "q_star.csv", result.q_star)

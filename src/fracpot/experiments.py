@@ -1,4 +1,4 @@
-"""Synthetic observations, benchmark problems, rate sweeps and histories.
+"""Synthetic observations, benchmark problems, rate sweeps and CSV IO.
 
 The 1D benchmark lives on (0, 10) with b = 1, v = x(10-x)/50 + 1, f = 10 and
 three reference potentials (smooth cosine, triangle wave, indicator bumps);
@@ -84,21 +84,18 @@ def make_observation(
     q_true,
     fine_factor: int,
     delta: float,
-    seed: int | None = None,
     fine_step_factor: int | None = None,
 ) -> ObservationData:
     """Generate terminal data: fine forward solve, restriction, Gaussian noise.
 
     The fine mesh has fine_factor times the cells of the reconstruction mesh
     (nested by construction) and fine_step_factor times its steps (defaulting
-    to fine_factor).  Noise delta * N(0,1) is added at interior nodes only, so
-    the boundary trace of the data stays exact.
+    to fine_factor).  Noise delta * N(0,1), drawn from spec.seed, is added at
+    interior nodes only, so the boundary trace of the data stays exact.  The
+    data floor is checked by `reconstruct`.
     """
-    if fine_factor < 1:
-        raise ValueError(f"fine_factor must be at least 1, got {fine_factor}")
+    check_observation_settings(delta, fine_factor, fine_step_factor)
     step_factor = fine_factor if fine_step_factor is None else fine_step_factor
-    if step_factor < 1:
-        raise ValueError(f"fine_step_factor must be at least 1, got {step_factor}")
     mesh = spec.mesh
     if fine_factor == 1:
         fine_mesh = mesh
@@ -110,20 +107,24 @@ def make_observation(
     data = restrict_to_mesh(solution.terminal, mesh)
     values = data.values.copy()
     if delta > 0.0:
-        rng = np.random.default_rng(spec.seed if seed is None else seed)
+        rng = np.random.default_rng(spec.seed)
         noise = rng.standard_normal(mesh.interior_nodes.size)
         values[mesh.interior_nodes] += delta * noise
-    low = float(values.min())
-    if low < spec.M2_floor:
-        raise DataFloorError(
-            f"terminal data reaches {low:.3e} after noise, below the floor {spec.M2_floor:g}"
-        )
-    return ObservationData(
-        g_delta=NodalField(values, mesh),
-        delta=delta,
-        boundary_trace=values[mesh.boundary_nodes].copy(),
-        psi_boundary=boundary_psi(spec, q_true),
-    )
+    return ObservationData(NodalField(values, mesh), boundary_psi(spec, q_true))
+
+
+def check_observation_settings(
+    delta: float, fine_factor: int | None, fine_step_factor: int | None
+) -> None:
+    """Reject a negative or NaN noise level and a fine factor below 1.
+
+    A factor of None stands for the caller's default and passes.
+    """
+    if not delta >= 0.0:
+        raise ValueError(f"noise level must be nonnegative, got {delta}")
+    for name, factor in (("fine_factor", fine_factor), ("fine_step_factor", fine_step_factor)):
+        if factor is not None and factor < 1:
+            raise ValueError(f"{name} must be at least 1, got {factor}")
 
 
 def relative_error(q_star: NodalField, q_true, mesh: Mesh) -> float:
@@ -155,8 +156,16 @@ class RateTable:
     rows: list
     slopes: dict
 
-    def slope(self, alpha: float) -> float:
-        return self.slopes[alpha]
+
+def descending_noise_levels(deltas) -> list[float]:
+    """The noise levels of a sweep as floats; they must be positive and
+    strictly descending."""
+    levels = [float(d) for d in deltas]
+    if not all(d > 0 for d in levels) or not all(
+        d2 < d1 for d1, d2 in zip(levels, levels[1:])
+    ):
+        raise ValueError("noise levels must be positive and strictly descending")
+    return levels
 
 
 def _auto_fine_factor(count: int, dim: int) -> int:
@@ -174,24 +183,19 @@ def rate_sweep(
     alphas,
     fine_factor: int | None = None,
     fine_step_factor: int | None = None,
-    base_seed: int | None = None,
 ) -> RateTable:
     """Reconstruction error against noise level under the coupled refinement.
 
     Per (alpha, delta): cells = round((b-a)/delta^(1/3)), steps =
     round(10/delta^(1/3)), data from make_observation, then reconstruct and
-    record the relative error.  Failed rows are kept with e_q = nan.  The
-    returned table carries one fitted log-log slope per alpha.
+    record the relative error.  Row i draws its noise from seed
+    template.seed + i.  Failed rows are kept with e_q = nan.  The returned
+    table carries one fitted log-log slope per alpha.
     """
-    deltas = [float(d) for d in deltas]
-    if any(d <= 0 for d in deltas) or any(
-        d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])
-    ):
-        raise ValueError("noise levels must be positive and strictly descending")
+    deltas = descending_noise_levels(deltas)
     a, b = template.mesh.bounds
     dim = template.mesh.dim
     rows = []
-    seed0 = template.seed if base_seed is None else base_seed
     for alpha in alphas:
         for delta in deltas:
             index = len(rows)
@@ -199,16 +203,16 @@ def rate_sweep(
             cells = max(2, round((b - a) / width))
             steps = max(1, round(10.0 / width))
             mesh = build_mesh((a, b), cells, dim)
-            spec = replace(template, alpha=alpha, mesh=mesh, num_steps=steps)
+            spec = replace(
+                template, alpha=alpha, mesh=mesh, num_steps=steps, seed=template.seed + index
+            )
             factor = _auto_fine_factor(cells, dim) if fine_factor is None else fine_factor
             step_factor = (
                 _auto_fine_factor(steps, dim) if fine_step_factor is None else fine_step_factor
             )
             start = time.perf_counter()
             try:
-                obs = make_observation(
-                    spec, q_true, factor, delta, seed=seed0 + index, fine_step_factor=step_factor
-                )
+                obs = make_observation(spec, q_true, factor, delta, fine_step_factor=step_factor)
                 result = reconstruct(spec, obs)
                 e_q = relative_error(result.q_star, q_true, mesh)
                 rows.append(
@@ -239,23 +243,6 @@ def rate_sweep(
         else:
             slopes[alpha] = float("nan")
     return RateTable(rows, slopes)
-
-
-def convergence_history(
-    spec: ProblemSpec,
-    q_true,
-    delta: float,
-    q0_override=None,
-    fine_factor: int = 1,
-    fine_step_factor: int | None = None,
-    seed: int | None = None,
-) -> list:
-    """Per-iteration absolute errors ||q_k - q_true|| as (k, e_k) pairs."""
-    obs = make_observation(
-        spec, q_true, fine_factor, delta, seed=seed, fine_step_factor=fine_step_factor
-    )
-    result = reconstruct(spec, obs, q_true=q_true, q0=q0_override)
-    return list(enumerate(float(e) for e in result.errors_vs_truth))
 
 
 def write_field_csv(path, field: NodalField) -> None:

@@ -202,13 +202,8 @@ def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
     """Assemble the load vector (f, phi_i) with f evaluated at Gauss points."""
     phi, _, wq, ref_pts = _reference_arrays(mesh.dim, mesh.h)
     corners = mesh.node_coords[mesh.elements[:, 0]]
-    xq = corners[:, None, 0] + mesh.h * ref_pts[None, :, 0]
-    if mesh.dim == 1:
-        fq = f(xq)
-    else:
-        yq = corners[:, None, 1] + mesh.h * ref_pts[None, :, 1]
-        fq = f(xq, yq)
-    fq = np.broadcast_to(np.asarray(fq, dtype=float), xq.shape)
+    points = corners[:, None, :] + mesh.h * ref_pts[None, :, :]
+    fq = evaluate_at(f, points.reshape(-1, mesh.dim)).reshape(points.shape[:2])
     if not np.all(np.isfinite(fq)):
         raise ValueError("source evaluates to a non-finite value at a quadrature point")
     local = fq @ (phi * wq).T
@@ -218,11 +213,3 @@ def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
 def mass_norm(values: np.ndarray, mass: sp.csr_matrix) -> float:
     """FE L2 norm sqrt(v^T M v) of nodal values against an assembled mass matrix."""
     return float(np.sqrt(max(values @ (mass @ values), 0.0)))
-
-
-def l2_norm(field: NodalField, mesh: Mesh | None = None) -> float:
-    """FE L2 norm sqrt(v^T M v) of a field, checked against the mesh."""
-    mesh = field.mesh if mesh is None else mesh
-    if not field.mesh.matches(mesh):
-        raise ValueError("field is not aligned with the mesh")
-    return mass_norm(field.values, mass_matrix(mesh))

@@ -35,7 +35,7 @@ from .fem import (
     stiffness_matrix,
     weighted_mass_matrix,
 )
-from .sparselin import SolveFailure, solve_spd
+from .sparselin import REL_TOL, SolveFailure, solve_spd
 
 _BOUND_SLACK = 1e-9
 
@@ -47,8 +47,8 @@ class ProblemSpec:
     v_expr, b_expr and f_expr are callables of the space variables (a parsed
     field expression or any vectorized function); v must agree with b at the
     boundary nodes.  M1 bounds the admissible potential, M2_floor guards the
-    division by terminal data, and the tolerances control the linear solver
-    and the fixed-point iteration respectively.
+    division by terminal data, fp_tol ends the fixed-point iteration, and seed
+    draws the noise of synthetic observations.
     """
 
     alpha: float
@@ -60,7 +60,6 @@ class ProblemSpec:
     f_expr: Callable
     M1: float
     M2_floor: float = 1e-6
-    lin_tol: float = 1e-12
     fp_tol: float = 1e-10
     max_iter: int = 50_000
     seed: int = 0
@@ -68,14 +67,16 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.T <= 0.0:
+        if not self.T > 0.0:
             raise ValueError(f"final time must be positive, got {self.T}")
         if self.num_steps < 1:
             raise ValueError(f"need at least one time step, got {self.num_steps}")
-        if self.M1 <= 0.0:
+        if not self.M1 > 0.0:
             raise ValueError(f"potential bound M1 must be positive, got {self.M1}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         bb = self.mesh.boundary_nodes
         v_b = interpolate_nodal(self.v_expr, self.mesh).values[bb]
         b_b = interpolate_nodal(self.b_expr, self.mesh).values[bb]
@@ -178,11 +179,11 @@ def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
         past = setup.weights_reversed[n_steps - n : n_steps] @ history[:n]
         past -= setup.partial[n] * history[0]
         rhs = rhs_base - setup.scale * (setup.mass_int @ past)
-        x, report = solve_spd(system_ii, rhs, spec.lin_tol, x0=x)
+        x, report = solve_spd(system_ii, rhs, x0=x)
         if not report.converged:
             raise SolveFailure(
                 f"time step {n}/{n_steps}: CG stalled at relative residual "
-                f"{report.final_residual:.3e} (target {spec.lin_tol:g})"
+                f"{report.final_residual:.3e} (target {REL_TOL:g})"
             )
         history[n, ii] = x
     frac = np.zeros(mesh.n_nodes)

@@ -34,29 +34,17 @@ class DataFloorError(RuntimeError):
 
 @dataclass(frozen=True)
 class ObservationData:
-    """Noisy terminal data on the reconstruction mesh.
-
-    boundary_trace holds the (exact) data values at boundary nodes and
-    psi_boundary the known boundary trace q*b - f of the data Laplacian.
-    """
+    """Noisy terminal data on the reconstruction mesh, with psi_boundary, the
+    known boundary trace q*b - f of the data Laplacian."""
 
     g_delta: NodalField
-    delta: float
-    boundary_trace: np.ndarray
     psi_boundary: np.ndarray
 
     def __post_init__(self) -> None:
-        bb = self.g_delta.mesh.boundary_nodes
-        trace = np.asarray(self.boundary_trace, dtype=float)
         psi_b = np.asarray(self.psi_boundary, dtype=float)
-        object.__setattr__(self, "boundary_trace", trace)
         object.__setattr__(self, "psi_boundary", psi_b)
-        if self.delta < 0.0:
-            raise ValueError(f"noise level must be nonnegative, got {self.delta}")
-        if trace.shape != bb.shape or psi_b.shape != bb.shape:
-            raise ValueError("boundary arrays must carry one value per boundary node")
-        if not np.array_equal(self.g_delta.values[bb], trace):
-            raise ValueError("terminal data must match the prescribed boundary trace exactly")
+        if psi_b.shape != self.g_delta.mesh.boundary_nodes.shape:
+            raise ValueError("psi_boundary must carry one value per boundary node")
 
 
 def boundary_psi(spec: ProblemSpec, q) -> np.ndarray:
@@ -78,12 +66,7 @@ class ReconstructionResult:
     converged: bool
 
 
-def compute_psi_h(
-    mesh: Mesh,
-    g_delta: NodalField,
-    psi_boundary: np.ndarray,
-    lin_tol: float = 1e-12,
-) -> NodalField:
+def compute_psi_h(mesh: Mesh, g_delta: NodalField, psi_boundary: np.ndarray) -> NodalField:
     """Data-regularized discrete Laplacian of the terminal observation.
 
     Interior values solve the mass system (psi, phi) = -(grad I_h g, grad phi)
@@ -97,7 +80,7 @@ def compute_psi_h(
         raise ValueError("psi_boundary must carry one value per boundary node")
     mass, stiff = mass_matrix(mesh), stiffness_matrix(mesh)
     rhs = -(stiff @ g_delta.values)[ii] - mass[np.ix_(ii, bb)] @ psi_b
-    interior, report = solve_spd(mass[np.ix_(ii, ii)].tocsr(), rhs, lin_tol)
+    interior, report = solve_spd(mass[np.ix_(ii, ii)].tocsr(), rhs)
     if not report.converged:
         raise SolveFailure(
             f"mass solve for the data Laplacian stalled at residual {report.final_residual:.3e}"
@@ -134,16 +117,6 @@ def _check_floor(obs: ObservationData, spec: ProblemSpec) -> None:
         )
 
 
-def _initial_guess(spec: ProblemSpec, q0, f_nodes, psi_h, obs) -> np.ndarray:
-    if q0 is None:
-        return fixed_point_update(f_nodes, 0.0, psi_h.values, obs.g_delta.values, spec.M1)
-    if isinstance(q0, NodalField):
-        if not q0.mesh.matches(spec.mesh):
-            raise ValueError("initial guess is not aligned with the problem mesh")
-        return np.clip(q0.values, 0.0, spec.M1)
-    return np.clip(interpolate_nodal(q0, spec.mesh).values, 0.0, spec.M1)
-
-
 def reconstruct(
     spec: ProblemSpec,
     obs: ObservationData,
@@ -155,16 +128,19 @@ def reconstruct(
 
     When q_true (an expression or callable) is supplied, the absolute error
     ||q_k - I_h q_true|| is traced per iteration, including the initial guess.
-    A custom q0 (field or expression) replaces the default upper-bound start.
+    A custom q0 (an expression or callable) replaces the default upper-bound start.
     """
     mesh = spec.mesh
     _check_floor(obs, spec)
     if not obs.g_delta.mesh.matches(mesh):
         raise ValueError("observation is not aligned with the problem mesh")
-    psi_h = compute_psi_h(mesh, obs.g_delta, obs.psi_boundary, spec.lin_tol)
+    psi_h = compute_psi_h(mesh, obs.g_delta, obs.psi_boundary)
     setup = spec.discretization
     f_nodes, mass = setup.f_nodes, setup.mass
-    q_vals = _initial_guess(spec, q0, f_nodes, psi_h, obs)
+    if q0 is None:
+        q_vals = fixed_point_update(f_nodes, 0.0, psi_h.values, obs.g_delta.values, spec.M1)
+    else:
+        q_vals = np.clip(interpolate_nodal(q0, mesh).values, 0.0, spec.M1)
     truth = interpolate_nodal(q_true, mesh).values if q_true is not None else None
     errors = [mass_norm(q_vals - truth, mass)] if truth is not None else None
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+REL_TOL = 1e-12  # the one target of every solve in the pipeline
+
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -22,7 +24,7 @@ class SolveFailure(RuntimeError):
 def solve_spd(
     a: sp.csr_matrix,
     rhs: np.ndarray,
-    rel_tol: float = 1e-12,
+    rel_tol: float = REL_TOL,
     x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve A x = rhs for symmetric positive definite A by preconditioned CG.

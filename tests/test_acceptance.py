@@ -25,13 +25,12 @@ from fracpot.experiments import (
     TRIANGLE_POTENTIAL,
     benchmark_problem_1d,
     benchmark_problem_2d,
-    convergence_history,
     make_observation,
     rate_sweep,
     relative_error,
 )
 from fracpot.expressions import parse_field_expr
-from fracpot.fem import NodalField, build_mesh, interpolate_nodal, l2_norm
+from fracpot.fem import NodalField, build_mesh, interpolate_nodal, mass_matrix, mass_norm
 from fracpot.forward import restrict_to_mesh, solve_forward
 from fracpot.inverse import compute_psi_h, reconstruct
 
@@ -45,15 +44,15 @@ ALL_ALPHAS = [0.25, 0.5, 0.75, 1.0]
 def smooth_rate_table():
     """Noise-rate sweep for the smooth potential, all fractional orders."""
     return rate_sweep(
-        benchmark_problem_1d(), SMOOTH_POTENTIAL, SWEEP_DELTAS, ALL_ALPHAS, base_seed=0
+        benchmark_problem_1d(seed=0), SMOOTH_POTENTIAL, SWEEP_DELTAS, ALL_ALPHAS
     )
 
 
 @pytest.fixture(scope="module")
 def unit_time_run():
     """Reconstruction at T=1, h=0.1, tau=0.01, delta=1e-3 (triangle truth)."""
-    spec = benchmark_problem_1d(alpha=0.5, T=1.0, cells=100, num_steps=100)
-    obs = make_observation(spec, TRIANGLE_POTENTIAL, 10, 1e-3, seed=0, fine_step_factor=10)
+    spec = benchmark_problem_1d(alpha=0.5, T=1.0, cells=100, num_steps=100, seed=0)
+    obs = make_observation(spec, TRIANGLE_POTENTIAL, 10, 1e-3, fine_step_factor=10)
     result = reconstruct(spec, obs, q_true=TRIANGLE_POTENTIAL)
     e_q = relative_error(result.q_star, TRIANGLE_POTENTIAL, spec.mesh)
     return result, e_q
@@ -62,19 +61,19 @@ def unit_time_run():
 def test_01_smooth_rate_slopes_for_all_orders(smooth_rate_table):
     """Fitted log-log slope of e_q vs delta stays in [0.23, 0.43] per order."""
     for alpha in ALL_ALPHAS:
-        slope = smooth_rate_table.slope(alpha)
+        slope = smooth_rate_table.slopes[alpha]
         assert 0.23 <= slope <= 0.43, f"alpha={alpha}: slope {slope:.4f} outside [0.23, 0.43]"
 
 
 def test_02_indicator_potential_degrades_the_rate(smooth_rate_table):
     """The discontinuous potential's slope trails the smooth one by >= 0.05."""
     indicator = rate_sweep(
-        benchmark_problem_1d(), INDICATOR_POTENTIAL, SWEEP_DELTAS, [0.5], base_seed=0
+        benchmark_problem_1d(seed=0), INDICATOR_POTENTIAL, SWEEP_DELTAS, [0.5]
     )
-    gap = smooth_rate_table.slope(0.5) - indicator.slope(0.5)
+    gap = smooth_rate_table.slopes[0.5] - indicator.slopes[0.5]
     assert gap >= 0.05, (
         f"slope gap {gap:.4f} < 0.05 "
-        f"(smooth {smooth_rate_table.slope(0.5):.4f}, indicator {indicator.slope(0.5):.4f})"
+        f"(smooth {smooth_rate_table.slopes[0.5]:.4f}, indicator {indicator.slopes[0.5]:.4f})"
     )
 
 
@@ -82,12 +81,9 @@ def test_03_iteration_errors_plateau_in_band():
     """e_k decays geometrically, then plateaus within [3e-3, 2.4e-2]."""
     q0 = parse_field_expr("4+x*(1-x)/5")
     for alpha in ALL_ALPHAS:
-        spec = benchmark_problem_1d(alpha=alpha, T=2.0, cells=1000, num_steps=100)
-        history = convergence_history(
-            spec, TRIANGLE_POTENTIAL, 1e-6,
-            q0_override=q0, fine_factor=1, fine_step_factor=20, seed=0,
-        )
-        errors = [e for _, e in history]
+        spec = benchmark_problem_1d(alpha=alpha, T=2.0, cells=1000, num_steps=100, seed=0)
+        obs = make_observation(spec, TRIANGLE_POTENTIAL, 1, 1e-6, fine_step_factor=20)
+        errors = list(reconstruct(spec, obs, q_true=TRIANGLE_POTENTIAL, q0=q0).errors_vs_truth)
         head = errors[: min(5, len(errors) - 1)]
         ratios = [b / a for a, b in zip(head, head[1:])]
         assert all(r < 0.9 for r in ratios), f"alpha={alpha}: early decay not geometric {ratios}"
@@ -107,8 +103,10 @@ def test_04_fast_convergence_at_unit_terminal_time(unit_time_run):
 def test_05_small_terminal_time_degrades_the_reconstruction(unit_time_run):
     """T=1e-4 blows up both the error (>= 5x the T=1 value) and the iteration count (> 1e3)."""
     _, e_q_unit = unit_time_run
-    spec = benchmark_problem_1d(alpha=0.5, T=1e-4, cells=100, num_steps=100, max_iter=2500)
-    obs = make_observation(spec, TRIANGLE_POTENTIAL, 10, 1e-3, seed=0, fine_step_factor=10)
+    spec = benchmark_problem_1d(
+        alpha=0.5, T=1e-4, cells=100, num_steps=100, max_iter=2500, seed=0
+    )
+    obs = make_observation(spec, TRIANGLE_POTENTIAL, 10, 1e-3, fine_step_factor=10)
     result = reconstruct(spec, obs, q_true=TRIANGLE_POTENTIAL)
     e_q = relative_error(result.q_star, TRIANGLE_POTENTIAL, spec.mesh)
     assert result.iterations > 1000, (
@@ -128,7 +126,7 @@ def test_06_forward_solver_self_convergence_orders():
         errs, taus = [], []
         for N in (25, 50, 100):
             sol = solve_forward(replace(base, num_steps=N), q).terminal
-            errs.append(l2_norm(NodalField(sol.values - ref.values, base.mesh)))
+            errs.append(mass_norm(sol.values - ref.values, mass_matrix(base.mesh)))
             taus.append(1.0 / N)
         temporal = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
         assert 0.85 <= temporal <= 1.15, f"alpha={alpha}: temporal order {temporal:.3f}"
@@ -140,7 +138,7 @@ def test_06_forward_solver_self_convergence_orders():
             spec = benchmark_problem_1d(alpha=alpha, cells=M, num_steps=400)
             sol = solve_forward(spec, interpolate_nodal(SMOOTH_POTENTIAL, spec.mesh)).terminal
             coarse_ref = restrict_to_mesh(ref_sp, spec.mesh)
-            errs_h.append(l2_norm(NodalField(sol.values - coarse_ref.values, spec.mesh)))
+            errs_h.append(mass_norm(sol.values - coarse_ref.values, mass_matrix(spec.mesh)))
             hs.append(10.0 / M)
         spatial = float(np.polyfit(np.log(hs), np.log(errs_h), 1)[0])
         assert 1.8 <= spatial <= 2.2, f"alpha={alpha}: spatial order {spatial:.3f}"
@@ -172,7 +170,7 @@ def test_08_data_laplacian_error_trends():
         mesh = build_mesh((0.0, 10.0), M)
         psi = compute_psi_h(mesh, interpolate_nodal(smooth, mesh), np.zeros(2))
         target = interpolate_nodal(laplacian, mesh)
-        errs.append(l2_norm(NodalField(psi.values - target.values, mesh)))
+        errs.append(mass_norm(psi.values - target.values, mass_matrix(mesh)))
         hs.append(10.0 / M)
     order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     assert order >= 0.8, f"h-order {order:.3f} < 0.8"
@@ -187,7 +185,7 @@ def test_08_data_laplacian_error_trends():
         values = clean.values.copy()
         values[mesh.interior_nodes] += delta * rng.standard_normal(mesh.interior_nodes.size)
         psi = compute_psi_h(mesh, NodalField(values, mesh), np.zeros(2))
-        noise_errs.append(l2_norm(NodalField(psi.values - target.values, mesh)))
+        noise_errs.append(mass_norm(psi.values - target.values, mass_matrix(mesh)))
     slope = float(np.polyfit(np.log(deltas), np.log(noise_errs), 1)[0])
     assert 0.7 <= slope <= 1.3, f"delta-slope {slope:.3f} outside [0.7, 1.3]"
 
@@ -207,13 +205,12 @@ def test_10_two_dimensional_recovery():
     """2D sweep at delta in {1e-2, 1e-3}: errors decrease, final e_q < 0.1, <= 10 min."""
     start = time.perf_counter()
     table = rate_sweep(
-        benchmark_problem_2d(alpha=0.5),
+        benchmark_problem_2d(alpha=0.5, seed=0),
         SMOOTH_POTENTIAL_2D,
         [1e-2, 1e-3],
         [0.5],
         fine_factor=6,
         fine_step_factor=6,
-        base_seed=0,
     )
     elapsed = time.perf_counter() - start
     coarse, fine = table.rows

@@ -257,6 +257,28 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("history", "seed", -1),
+            ("history", "fine_factor", 0),
+            ("history", "delta", -1e-3),
+            ("sweep", "alphas", [1.5]),
+            ("sweep", "deltas", [1e-3, 1e-2]),
+            ("sweep", "seed", -1),
+            ("forward", "M1", float("nan")),
+        ],
+    )
+    def test_out_of_range_value_exits_2_without_traceback(
+        self, tmp_path, capsys, command, key, value
+    ):
+        small = {"domain": {"cells": 10}, "num_steps": 5, "deltas": [1e-2, 1e-3],
+                 "alphas": [0.5], "fine_factor": 1, "fine_step_factor": 1}
+        config = write_config(tmp_path, **{**small, key: value})
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+
 
 LOADER_KEYS = (
     "alpha", "T", "num_steps", "seed", "delta", "deltas", "alphas",
@@ -320,7 +342,7 @@ def test_every_example_config_has_a_study():
 def test_example_config_loads_its_study(name, overrides, problem, params, truth, settings):
     cfg = load_config(CONFIGS / name, argparse.Namespace(**overrides))
     expected = problem(**params)
-    for attr in ("alpha", "T", "num_steps", "M1", "M2_floor", "lin_tol", "fp_tol", "max_iter", "seed"):
+    for attr in ("alpha", "T", "num_steps", "M1", "M2_floor", "fp_tol", "max_iter", "seed"):
         assert getattr(cfg.spec, attr) == getattr(expected, attr), attr
     assert cfg.spec.mesh.matches(expected.mesh)
     for attr in ("v_expr", "b_expr", "f_expr"):

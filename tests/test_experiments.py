@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from fracpot import experiments
 from fracpot.experiments import (
     INDICATOR_POTENTIAL,
     POTENTIALS_1D,
@@ -25,7 +26,6 @@ from fracpot.experiments import (
     _auto_fine_factor,
     benchmark_problem_1d,
     benchmark_problem_2d,
-    convergence_history,
     make_observation,
     rate_sweep,
     read_field_csv,
@@ -36,7 +36,7 @@ from fracpot.experiments import (
 )
 from fracpot.fem import NodalField, build_mesh, interpolate_nodal
 from fracpot.forward import solve_forward
-from fracpot.inverse import DataFloorError
+from fracpot.inverse import DataFloorError, reconstruct
 
 
 class TestBenchmarks:
@@ -88,32 +88,34 @@ class TestMakeObservation:
         np.testing.assert_array_equal(obs.g_delta.values, forward.terminal.values)
 
     def test_boundary_trace_is_exact_dirichlet_data(self):
-        spec = self.spec()
-        obs = make_observation(spec, SMOOTH_POTENTIAL, 2, 1e-2, seed=3)
-        np.testing.assert_array_equal(obs.boundary_trace, [1.0, 1.0])
+        spec = self.spec(seed=3)
+        obs = make_observation(spec, SMOOTH_POTENTIAL, 2, 1e-2)
+        np.testing.assert_array_equal(obs.g_delta.values[spec.mesh.boundary_nodes], [1.0, 1.0])
 
     def test_noise_touches_interior_only(self):
-        spec = self.spec()
+        spec = self.spec(seed=3)
         clean = make_observation(spec, SMOOTH_POTENTIAL, 2, 0.0)
-        noisy = make_observation(spec, SMOOTH_POTENTIAL, 2, 1e-2, seed=3)
+        noisy = make_observation(spec, SMOOTH_POTENTIAL, 2, 1e-2)
         bb = spec.mesh.boundary_nodes
         ii = spec.mesh.interior_nodes
         np.testing.assert_array_equal(noisy.g_delta.values[bb], clean.g_delta.values[bb])
         assert (noisy.g_delta.values[ii] != clean.g_delta.values[ii]).all()
 
     def test_same_seed_is_bitwise_reproducible(self):
-        spec = self.spec()
-        a = make_observation(spec, SMOOTH_POTENTIAL, 2, 1e-3, seed=11)
-        b = make_observation(spec, SMOOTH_POTENTIAL, 2, 1e-3, seed=11)
+        a = make_observation(self.spec(seed=11), SMOOTH_POTENTIAL, 2, 1e-3)
+        b = make_observation(self.spec(seed=11), SMOOTH_POTENTIAL, 2, 1e-3)
         np.testing.assert_array_equal(a.g_delta.values, b.g_delta.values)
-        c = make_observation(spec, SMOOTH_POTENTIAL, 2, 1e-3, seed=12)
+        c = make_observation(self.spec(seed=12), SMOOTH_POTENTIAL, 2, 1e-3)
         assert (a.g_delta.values != c.g_delta.values).any()
 
-    def test_seed_defaults_to_the_spec_seed(self):
+    def test_noise_is_drawn_from_the_spec_seed(self):
         spec = self.spec(seed=21)
-        implicit = make_observation(spec, SMOOTH_POTENTIAL, 2, 1e-3)
-        explicit = make_observation(spec, SMOOTH_POTENTIAL, 2, 1e-3, seed=21)
-        np.testing.assert_array_equal(implicit.g_delta.values, explicit.g_delta.values)
+        clean = make_observation(spec, SMOOTH_POTENTIAL, 2, 0.0)
+        noisy = make_observation(spec, SMOOTH_POTENTIAL, 2, 1e-3)
+        ii = spec.mesh.interior_nodes
+        expected = clean.g_delta.values.copy()
+        expected[ii] += 1e-3 * np.random.default_rng(21).standard_normal(ii.size)
+        np.testing.assert_array_equal(noisy.g_delta.values, expected)
 
     def test_smooth_benchmark_psi_boundary(self):
         # q(0) = q(10) = 4, b = 1, f = 10, so q*b - f = -6 at both ends.
@@ -128,10 +130,21 @@ class TestMakeObservation:
         with pytest.raises(ValueError, match="fine_step_factor"):
             make_observation(spec, SMOOTH_POTENTIAL, 1, 0.0, fine_step_factor=0)
 
+    @pytest.mark.parametrize("delta", [-1e-3, float("nan")])
+    def test_bad_noise_level_rejected_before_the_march(self, monkeypatch, delta):
+        def no_march(*args):
+            raise AssertionError("the forward march ran")
+
+        monkeypatch.setattr(experiments, "solve_forward", no_march)
+        with pytest.raises(ValueError, match="noise level"):
+            make_observation(self.spec(), SMOOTH_POTENTIAL, 1, delta)
+
     def test_floor_violation_raises(self):
+        # make_observation leaves the floor to reconstruct, which checks it once
         spec = self.spec(M2_floor=10.0)
+        obs = make_observation(spec, SMOOTH_POTENTIAL, 1, 0.0)
         with pytest.raises(DataFloorError, match="floor"):
-            make_observation(spec, SMOOTH_POTENTIAL, 1, 0.0)
+            reconstruct(spec, obs)
 
 
 class TestRelativeError:
@@ -180,7 +193,7 @@ class TestRateSweep:
         deltas = [1e-2, 1e-3]
         table = rate_sweep(
             template, SMOOTH_POTENTIAL, deltas, [0.5],
-            fine_factor=2, fine_step_factor=2, base_seed=0,
+            fine_factor=2, fine_step_factor=2,
         )
         assert len(table.rows) == 2
         for row, delta in zip(table.rows, deltas):
@@ -199,39 +212,37 @@ class TestRateSweep:
         log_d = np.log([r.delta for r in table.rows])
         log_e = np.log([r.e_q for r in table.rows])
         expected = float(np.polyfit(log_d, log_e, 1)[0])
-        assert table.slope(0.5) == pytest.approx(expected, rel=1e-12)
+        assert table.slopes[0.5] == pytest.approx(expected, rel=1e-12)
 
     def test_failed_rows_are_recorded_not_raised(self):
         template = benchmark_problem_1d(M2_floor=10.0)
         table = rate_sweep(
             template, SMOOTH_POTENTIAL, [0.5, 0.25], [0.5],
-            fine_factor=1, fine_step_factor=1, base_seed=0,
+            fine_factor=1, fine_step_factor=1,
         )
         assert len(table.rows) == 2
         for row in table.rows:
             assert math.isnan(row.e_q)
             assert "floor" in row.failure
-        assert math.isnan(table.slope(0.5))
+        assert math.isnan(table.slopes[0.5])
 
 
 class TestConvergenceHistory:
-    def test_history_tracks_decreasing_absolute_errors(self):
+    def history(self, q0=None):
         spec = benchmark_problem_1d(cells=20, num_steps=10)
-        history = convergence_history(spec, SMOOTH_POTENTIAL, 0.0)
-        ks = [k for k, _ in history]
-        errors = [e for _, e in history]
-        assert ks == list(range(len(history)))
-        assert len(history) >= 3
+        obs = make_observation(spec, SMOOTH_POTENTIAL, 1, 0.0)
+        return reconstruct(spec, obs, q_true=SMOOTH_POTENTIAL, q0=q0).errors_vs_truth
+
+    def test_history_tracks_decreasing_absolute_errors(self):
+        errors = self.history()
+        assert len(errors) >= 3
         assert errors[-1] < errors[0]
         assert errors[-1] < 0.1
 
     def test_initial_guess_override_changes_the_starting_error(self):
-        spec = benchmark_problem_1d(cells=20, num_steps=10)
-        default = convergence_history(spec, SMOOTH_POTENTIAL, 0.0)
-        overridden = convergence_history(
-            spec, SMOOTH_POTENTIAL, 0.0, q0_override=lambda x: np.zeros_like(x)
-        )
-        assert overridden[0][1] != default[0][1]
+        default = self.history()
+        overridden = self.history(q0=lambda x: np.zeros_like(x))
+        assert overridden[0] != default[0]
 
 
 class TestCsvIO:

@@ -214,7 +214,16 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("alpha", 0.0), ("alpha", 1.5), ("T", -1.0), ("num_steps", 0), ("M1", 0.0)],
+        [
+            ("alpha", 0.0),
+            ("alpha", 1.5),
+            ("T", -1.0),
+            ("T", float("nan")),
+            ("num_steps", 0),
+            ("M1", 0.0),
+            ("M1", float("nan")),
+            ("seed", -1),
+        ],
     )
     def test_parameter_validation(self, field, value):
         good = small_spec()

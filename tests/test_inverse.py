@@ -19,7 +19,7 @@ from fracpot.experiments import (
     make_observation,
     relative_error,
 )
-from fracpot.fem import NodalField, build_mesh, interpolate_nodal, l2_norm, mass_matrix, mass_norm
+from fracpot.fem import NodalField, build_mesh, interpolate_nodal, mass_matrix, mass_norm
 from fracpot.forward import solve_forward
 from fracpot.inverse import (
     DataFloorError,
@@ -102,26 +102,15 @@ class TestObservationData:
     def observation(self, **overrides):
         mesh = build_mesh((0.0, 1.0), 4)
         g = NodalField(np.full(5, 2.0), mesh)
-        kwargs = {
-            "g_delta": g,
-            "delta": 1e-3,
-            "boundary_trace": np.array([2.0, 2.0]),
-            "psi_boundary": np.array([0.0, 0.0]),
-        }
+        kwargs = {"g_delta": g, "psi_boundary": [0.0, 0.0]}
         kwargs.update(overrides)
         return ObservationData(**kwargs)
 
     def test_valid_roundtrip(self):
         obs = self.observation()
-        assert obs.delta == 1e-3
-
-    def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError, match="noise level"):
-            self.observation(delta=-1e-3)
-
-    def test_trace_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="boundary trace"):
-            self.observation(boundary_trace=np.array([2.0, 2.1]))
+        np.testing.assert_array_equal(obs.g_delta.values, 2.0)
+        assert obs.psi_boundary.dtype == float
+        np.testing.assert_array_equal(obs.psi_boundary, [0.0, 0.0])
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError, match="boundary"):
@@ -160,7 +149,7 @@ class TestReconstruct:
     def test_fixed_point_residual_small_at_convergence(self):
         spec, obs = crime_free_setup()
         result = reconstruct(spec, obs)
-        psi_h = compute_psi_h(spec.mesh, obs.g_delta, obs.psi_boundary, spec.lin_tol)
+        psi_h = compute_psi_h(spec.mesh, obs.g_delta, obs.psi_boundary)
         forward = solve_forward(spec, result.q_star)
         again = fixed_point_update(
             interpolate_nodal(spec.f_expr, spec.mesh).values,
@@ -169,7 +158,7 @@ class TestReconstruct:
             obs.g_delta.values,
             spec.M1,
         )
-        residual = l2_norm(NodalField(again - result.q_star.values, spec.mesh))
+        residual = mass_norm(again - result.q_star.values, mass_matrix(spec.mesh))
         assert residual <= 1e-9
 
     def test_deterministic(self):
@@ -191,21 +180,14 @@ class TestReconstruct:
     def test_initial_guess_overrides_agree(self):
         spec, obs = crime_free_setup()
         from_default = reconstruct(spec, obs)
-        from_expr = reconstruct(spec, obs, q0=lambda x: np.full_like(x, 2.0))
-        guess = interpolate_nodal(lambda x: np.full_like(x, 10.0), spec.mesh)  # clamped to M1
-        from_field = reconstruct(spec, obs, q0=guess)
-        for other in (from_expr, from_field):
+        from_low = reconstruct(spec, obs, q0=lambda x: np.full_like(x, 2.0))
+        from_high = reconstruct(spec, obs, q0=lambda x: np.full_like(x, 10.0))  # clamped to M1
+        for other in (from_low, from_high):
             assert other.converged
-            diff = l2_norm(
-                NodalField(other.q_star.values - from_default.q_star.values, spec.mesh)
+            diff = mass_norm(
+                other.q_star.values - from_default.q_star.values, mass_matrix(spec.mesh)
             )
             assert diff <= 1e-8
-
-    def test_initial_guess_mesh_checked(self):
-        spec, obs = crime_free_setup()
-        wrong = interpolate_nodal(lambda x: np.zeros_like(x), build_mesh((0.0, 10.0), 7))
-        with pytest.raises(ValueError, match="aligned"):
-            reconstruct(spec, obs, q0=wrong)
 
     def test_noisy_data_still_converges(self):
         spec, obs = crime_free_setup(cells=50, num_steps=40, delta=1e-3)

@@ -3,20 +3,14 @@
 A Q1 finite element / backward Euler convolution-quadrature solver for the
 time-fractional diffusion initial-boundary value problem, plus the clamped
 fixed-point iteration that reconstructs the potential from noisy terminal
-observations, with benchmark experiment drivers and a CLI.
+observations, with experiment drivers and a CLI.
 """
 
 from .expressions import parse_field_expr
 from .fem import build_mesh, interpolate_nodal
 from .forward import ProblemSpec, solve_forward
 from .inverse import DataFloorError, ObservationData, compute_psi_h, reconstruct
-from .experiments import (
-    benchmark_problem_1d,
-    benchmark_problem_2d,
-    make_observation,
-    rate_sweep,
-    relative_error,
-)
+from .experiments import make_observation, rate_sweep, relative_error
 from .sparselin import SolveFailure
 
 __all__ = [
@@ -24,8 +18,6 @@ __all__ = [
     "ObservationData",
     "ProblemSpec",
     "SolveFailure",
-    "benchmark_problem_1d",
-    "benchmark_problem_2d",
     "build_mesh",
     "compute_psi_h",
     "interpolate_nodal",

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 2 for configuration or expression errors, 3 for
 numerical failures (linear solver stall, data floor violation, or an invert
-run that exhausts its iteration budget).
+or history run that exhausts its iteration budget).
 """
 
 from __future__ import annotations
@@ -67,6 +67,14 @@ def _parse_expr(mapping: dict, key: str, where: str) -> FieldExpr:
         raise ConfigError(f"bad expression for {where}.{key}: {exc}") from exc
 
 
+def _integer(value, key: str) -> int:
+    """A whole-number config value as an int: 3 and 3.0 pass, 3.7 does not."""
+    number = int(value)
+    if number != float(value):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return number
+
+
 def _optional_expr(mapping: dict, key: str) -> FieldExpr | None:
     if mapping.get(key) is None:
         return None
@@ -89,8 +97,8 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
         fields = _require(raw, "fields", "config")
         alpha = float(_require(raw, "alpha", "config"))
         T = float(_require(raw, "T", "config"))
-        num_steps = int(_require(raw, "num_steps", "config"))
-        seed = int(raw.get("seed", 0))
+        num_steps = _integer(_require(raw, "num_steps", "config"), "num_steps")
+        seed = _integer(raw.get("seed", 0), "seed")
         delta = float(raw.get("delta", 0.0))
         if overrides is not None:
             if getattr(overrides, "alpha", None) is not None:
@@ -103,8 +111,8 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
                 seed = overrides.seed
         mesh = build_mesh(
             (float(_require(domain, "a", "domain")), float(_require(domain, "b", "domain"))),
-            int(_require(domain, "cells", "domain")),
-            int(domain.get("dim", 1)),
+            _integer(_require(domain, "cells", "domain"), "domain.cells"),
+            _integer(domain.get("dim", 1), "domain.dim"),
         )
         spec = ProblemSpec(
             alpha=alpha,
@@ -117,11 +125,18 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
             M1=float(raw.get("M1", 5.0)),
             M2_floor=float(raw.get("M2_floor", 1e-6)),
             fp_tol=float(raw.get("tol", 1e-10)),
-            max_iter=int(raw.get("max_iter", 50_000)),
+            max_iter=_integer(raw.get("max_iter", 50_000), "max_iter"),
             seed=seed,
         )
+        alphas = raw.get("alphas", DEFAULT_ALPHAS)
+        if not alphas:
+            raise ConfigError("alphas must list at least one order")
         fine_factor = raw.get("fine_factor")
+        if fine_factor is not None:
+            fine_factor = _integer(fine_factor, "fine_factor")
         fine_step_factor = raw.get("fine_step_factor")
+        if fine_step_factor is not None:
+            fine_step_factor = _integer(fine_step_factor, "fine_step_factor")
         cfg = RunConfig(
             spec=spec,
             q_true=_optional_expr(fields, "q_true"),
@@ -130,11 +145,9 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
             delta=delta,
             deltas=descending_noise_levels(raw.get("deltas", DEFAULT_DELTAS)),
             # replace() runs ProblemSpec's range check on every order of the sweep
-            alphas=[
-                replace(spec, alpha=float(a)).alpha for a in raw.get("alphas", DEFAULT_ALPHAS)
-            ],
-            fine_factor=None if fine_factor is None else int(fine_factor),
-            fine_step_factor=None if fine_step_factor is None else int(fine_step_factor),
+            alphas=[replace(spec, alpha=float(a)).alpha for a in alphas],
+            fine_factor=fine_factor,
+            fine_step_factor=fine_step_factor,
         )
         check_observation_settings(cfg.delta, cfg.fine_factor, cfg.fine_step_factor)
         return cfg
@@ -176,6 +189,13 @@ def _boundary_psi(cfg: RunConfig):
     return boundary_psi(cfg.spec, source)
 
 
+def _budget_exit_code(result) -> int:
+    if not result.converged:
+        print("iteration budget exhausted before the increment tolerance", file=sys.stderr)
+        return 3
+    return 0
+
+
 def _cmd_invert(cfg: RunConfig, args) -> int:
     spec = cfg.spec
     if args.data is None:
@@ -193,14 +213,16 @@ def _cmd_invert(cfg: RunConfig, args) -> int:
         f"reconstruction finished after {result.iterations} iterations "
         f"(converged: {result.converged}); fields in {out}"
     )
-    if not result.converged:
-        print("iteration budget exhausted before the increment tolerance", file=sys.stderr)
-        return 3
-    return 0
+    return _budget_exit_code(result)
 
 
 def _cmd_sweep(cfg: RunConfig, args) -> int:
-    deltas = [args.delta] if args.delta is not None else cfg.deltas
+    deltas = cfg.deltas
+    if args.delta is not None:
+        try:
+            deltas = descending_noise_levels([args.delta])
+        except ValueError as exc:
+            raise ConfigError(f"invalid --delta for a sweep: {exc}") from exc
     alphas = [args.alpha] if args.alpha is not None else cfg.alphas
     table = rate_sweep(
         cfg.spec,
@@ -239,7 +261,7 @@ def _cmd_history(cfg: RunConfig, args) -> int:
         f"history written to {out / 'history.csv'} "
         f"({result.iterations} iterations, final e_q {e_q:.4e})"
     )
-    return 0
+    return _budget_exit_code(result)
 
 
 _COMMANDS = {

@@ -1,10 +1,9 @@
-"""Synthetic observations, benchmark problems, rate sweeps and CSV IO.
+"""Synthetic observations, rate sweeps and CSV IO.
 
-The 1D benchmark lives on (0, 10) with b = 1, v = x(10-x)/50 + 1, f = 10 and
-three reference potentials (smooth cosine, triangle wave, indicator bumps);
-the 2D benchmark lives on (0, 3)^2.  Sweeps couple the discretization to the
-noise level through h = delta^(1/3) and tau = delta^(1/3) * T / 10, snapping
-cell and step counts to integers and reporting the values actually used.
+The paper's benchmark problems are defined once, by the JSON configs in
+`configs/`.  Sweeps couple the discretization to the noise level through
+h = delta^(1/3) and tau = delta^(1/3) * T / 10, snapping cell and step
+counts to integers and reporting the values actually used.
 """
 
 from __future__ import annotations
@@ -17,66 +16,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expressions import parse_field_expr
 from .fem import NodalField, Mesh, build_mesh, interpolate_nodal, mass_matrix, mass_norm
 from .forward import ProblemSpec, restrict_to_mesh, solve_forward
 from .inverse import DataFloorError, ObservationData, boundary_psi, reconstruct
 from .sparselin import SolveFailure
 
 logger = logging.getLogger(__name__)
-
-SMOOTH_POTENTIAL = parse_field_expr("3+cos(0.6*pi*x)")
-TRIANGLE_POTENTIAL = parse_field_expr("4-tri(x)")
-INDICATOR_POTENTIAL = parse_field_expr("4-chi(2,4,x)-chi(6,8,x)")
-SMOOTH_POTENTIAL_2D = parse_field_expr("3-cos(pi*x)*cos(pi*y)")
-
-POTENTIALS_1D = {
-    "smooth": SMOOTH_POTENTIAL,
-    "triangle": TRIANGLE_POTENTIAL,
-    "indicator": INDICATOR_POTENTIAL,
-}
-
-
-def benchmark_problem_1d(
-    alpha: float = 0.5,
-    T: float = 1.0,
-    cells: int = 100,
-    num_steps: int = 100,
-    **overrides,
-) -> ProblemSpec:
-    """The 1D benchmark problem on (0, 10)."""
-    return ProblemSpec(
-        alpha=alpha,
-        T=T,
-        num_steps=num_steps,
-        mesh=build_mesh((0.0, 10.0), cells, dim=1),
-        v_expr=parse_field_expr("x*(10-x)/50+1"),
-        b_expr=parse_field_expr("1"),
-        f_expr=parse_field_expr("10"),
-        M1=5.0,
-        **overrides,
-    )
-
-
-def benchmark_problem_2d(
-    alpha: float = 0.5,
-    T: float = 1.0,
-    cells: int = 30,
-    num_steps: int = 100,
-    **overrides,
-) -> ProblemSpec:
-    """The 2D benchmark problem on (0, 3)^2."""
-    return ProblemSpec(
-        alpha=alpha,
-        T=T,
-        num_steps=num_steps,
-        mesh=build_mesh((0.0, 3.0), cells, dim=2),
-        v_expr=parse_field_expr("x*(3-x)*(1/4+y*(3-y)/10)+1"),
-        b_expr=parse_field_expr("x*(3-x)/4+1"),
-        f_expr=parse_field_expr("10"),
-        M1=5.0,
-        **overrides,
-    )
 
 
 def make_observation(
@@ -158,9 +103,11 @@ class RateTable:
 
 
 def descending_noise_levels(deltas) -> list[float]:
-    """The noise levels of a sweep as floats; they must be positive and
-    strictly descending."""
+    """The noise levels of a sweep as floats; there must be at least one, and
+    they must be positive and strictly descending."""
     levels = [float(d) for d in deltas]
+    if not levels:
+        raise ValueError("a sweep needs at least one noise level")
     if not all(d > 0 for d in levels) or not all(
         d2 < d1 for d1, d2 in zip(levels, levels[1:])
     ):

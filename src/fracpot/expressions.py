@@ -224,18 +224,6 @@ def _eval(node, env):
     return func(*(_eval(arg, env) for arg in node.args))
 
 
-def _format(node) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{_format(node.arg)})"
-    if isinstance(node, BinOp):
-        return f"({_format(node.left)}{node.op}{_format(node.right)})"
-    return f"{node.func}({','.join(_format(a) for a in node.args)})"
-
-
 @dataclass(frozen=True)
 class FieldExpr:
     """A parsed field expression, callable on node coordinate arrays."""
@@ -252,10 +240,6 @@ class FieldExpr:
             out = np.asarray(_eval(self.root, env), dtype=float)
         out = np.array(np.broadcast_to(out, x.shape))
         return float(out) if out.ndim == 0 else out
-
-    def pretty(self) -> str:
-        """Fully parenthesized text that re-parses to an identical tree."""
-        return _format(self.root)
 
     def __str__(self) -> str:
         return self.source

@@ -73,6 +73,10 @@ class ProblemSpec:
             raise ValueError(f"need at least one time step, got {self.num_steps}")
         if not self.M1 > 0.0:
             raise ValueError(f"potential bound M1 must be positive, got {self.M1}")
+        if not self.M2_floor > 0.0:
+            raise ValueError(f"data floor M2_floor must be positive, got {self.M2_floor}")
+        if not self.fp_tol > 0.0:
+            raise ValueError(f"fixed-point tolerance must be positive, got {self.fp_tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if self.seed < 0:

@@ -1,11 +1,22 @@
-"""Shared test configuration.
+"""Shared test configuration and the paper's benchmark problems.
 
 Property-based tests use a deterministic hypothesis profile so the suite
 is reproducible and free of per-example deadlines (several properties
 assemble meshes or run short solves, whose first call can be slow).
+
+The benchmark problems come from the example configs, which are their one
+definition: the 1D problem on (0, 10) from configs/sweep_smooth.json and the
+2D problem on (0, 3)^2 from configs/sweep_2d.json.
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 from hypothesis import settings
+
+from fracpot.cli import load_config
+from fracpot.expressions import parse_field_expr
+from fracpot.fem import build_mesh
 
 settings.register_profile(
     "fracpot",
@@ -14,3 +25,30 @@ settings.register_profile(
     derandomize=True,
 )
 settings.load_profile("fracpot")
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# The paper's reference potentials; test_cli checks that the configs hold them.
+SMOOTH_POTENTIAL = parse_field_expr("3+cos(0.6*pi*x)")
+TRIANGLE_POTENTIAL = parse_field_expr("4-tri(x)")
+INDICATOR_POTENTIAL = parse_field_expr("4-chi(2,4,x)-chi(6,8,x)")
+SMOOTH_POTENTIAL_2D = parse_field_expr("3-cos(pi*x)*cos(pi*y)")
+
+
+def config_problem(name, cells=None, **changes):
+    """The ProblemSpec of configs/<name>, on `cells` cells per axis if given,
+    with the other spec fields in `changes` replaced."""
+    spec = load_config(CONFIGS / name).spec
+    if cells is not None:
+        changes["mesh"] = build_mesh(spec.mesh.bounds, cells, spec.mesh.dim)
+    return replace(spec, **changes)
+
+
+def benchmark_problem_1d(**changes):
+    """The 1D benchmark problem (100 cells, 100 steps, alpha 0.5, T 1)."""
+    return config_problem("sweep_smooth.json", **changes)
+
+
+def benchmark_problem_2d(**changes):
+    """The 2D benchmark problem (30^2 cells, 100 steps, alpha 0.5, T 1)."""
+    return config_problem("sweep_2d.json", **changes)

@@ -18,21 +18,19 @@ import numpy as np
 import pytest
 
 from fracpot.cq import cq_weights
-from fracpot.experiments import (
+from fracpot.experiments import make_observation, rate_sweep, relative_error
+from fracpot.expressions import parse_field_expr
+from fracpot.fem import NodalField, build_mesh, interpolate_nodal, mass_matrix, mass_norm
+from fracpot.forward import restrict_to_mesh, solve_forward
+from fracpot.inverse import compute_psi_h, reconstruct
+from conftest import (
     INDICATOR_POTENTIAL,
     SMOOTH_POTENTIAL,
     SMOOTH_POTENTIAL_2D,
     TRIANGLE_POTENTIAL,
     benchmark_problem_1d,
     benchmark_problem_2d,
-    make_observation,
-    rate_sweep,
-    relative_error,
 )
-from fracpot.expressions import parse_field_expr
-from fracpot.fem import NodalField, build_mesh, interpolate_nodal, mass_matrix, mass_norm
-from fracpot.forward import restrict_to_mesh, solve_forward
-from fracpot.inverse import compute_psi_h, reconstruct
 
 pytestmark = pytest.mark.acceptance
 

@@ -17,20 +17,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fracpot.cli import load_config, main
-from fracpot.experiments import (
+from fracpot.experiments import make_observation, read_field_csv, relative_error, write_field_csv
+from fracpot.fem import interpolate_nodal
+from fracpot.forward import solve_forward
+from conftest import (
     INDICATOR_POTENTIAL,
     SMOOTH_POTENTIAL,
     SMOOTH_POTENTIAL_2D,
     TRIANGLE_POTENTIAL,
     benchmark_problem_1d,
     benchmark_problem_2d,
-    make_observation,
-    read_field_csv,
-    relative_error,
-    write_field_csv,
 )
-from fracpot.fem import interpolate_nodal
-from fracpot.forward import solve_forward
 
 BASE_CONFIG = {
     "alpha": 0.5,
@@ -200,6 +197,26 @@ class TestSweepAndHistory:
         errors = [float(row.split(",")[1]) for row in lines[1:]]
         assert errors[-1] < errors[0]
 
+    def test_sweep_zero_delta_override_exits_2(self, tmp_path, capsys):
+        config = self.sweep_config(tmp_path)
+        code = main(["sweep", "--config", str(config), "--out", str(tmp_path), "--delta", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--delta" in err and "Traceback" not in err
+
+    def test_history_accepts_a_zero_delta_override(self, tmp_path):
+        config = write_config(tmp_path, fine_factor=1, delta=1e-3)
+        code = main(["history", "--config", str(config), "--out", str(tmp_path), "--delta", "0"])
+        assert code == 0
+
+    def test_history_exhausted_budget_exits_3(self, tmp_path, capsys):
+        config = write_config(tmp_path, fine_factor=1, max_iter=2)
+        assert main(["history", "--config", str(config), "--out", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert "(2 iterations" in captured.out
+        assert "budget" in captured.err
+        assert (tmp_path / "history.csv").exists()
+
     def test_history_floor_violation_exits_3(self, tmp_path, capsys):
         config = write_config(tmp_path, fine_factor=1, M2_floor=10.0)
         assert main(["history", "--config", str(config), "--out", str(tmp_path)]) == 3
@@ -267,6 +284,18 @@ class TestConfigErrors:
             ("sweep", "deltas", [1e-3, 1e-2]),
             ("sweep", "seed", -1),
             ("forward", "M1", float("nan")),
+            ("sweep", "alphas", []),
+            ("sweep", "deltas", []),
+            ("history", "tol", -1),
+            ("history", "tol", float("nan")),
+            ("history", "M2_floor", float("nan")),
+            ("history", "M2_floor", -1),
+            ("history", "max_iter", 3.7),
+            ("history", "num_steps", 5.5),
+            ("history", "domain", {"cells": 10.5}),
+            ("history", "seed", 0.5),
+            ("history", "fine_factor", 1.5),
+            ("history", "fine_step_factor", 2.5),
         ],
     )
     def test_out_of_range_value_exits_2_without_traceback(
@@ -308,7 +337,9 @@ SWEEP_1D = {"deltas": [1e-2, 1e-3, 1e-4, 1e-5], "alphas": [0.25, 0.5, 0.75, 1.0]
 HISTORY = {"delta": 1e-6, "q0": "4+x*(1-x)/5", "fine_factor": 1, "fine_step_factor": 20}
 SMALL_T = {"delta": 1e-3, "q0": None, "fine_factor": 10, "fine_step_factor": 10}
 # Each example config, with the command line overrides its README row uses, must
-# load the benchmark problem, truth and run settings of the study it stands for.
+# load the run settings of the study it stands for, the paper's potential, and
+# the same benchmark problem as the config the tests build theirs from
+# (sweep_smooth.json in 1D, sweep_2d.json in 2D).
 EXAMPLE_STUDIES = [
     ("sweep_smooth.json", {}, benchmark_problem_1d, {}, SMOOTH_POTENTIAL, SWEEP_1D),
     ("sweep_triangle.json", {}, benchmark_problem_1d, {}, TRIANGLE_POTENTIAL, SWEEP_1D),

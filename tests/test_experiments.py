@@ -1,4 +1,4 @@
-"""Tests for benchmark problems, synthetic observations, sweeps and CSV IO.
+"""Tests for the benchmark configs, synthetic observations, sweeps and CSV IO.
 
 Observation tests pin the noise contract (interior-only, seeded, bitwise
 reproducible) and the frozen boundary values q(0)*b(0) - f(0) = -6 of the
@@ -16,16 +16,9 @@ import pytest
 
 from fracpot import experiments
 from fracpot.experiments import (
-    INDICATOR_POTENTIAL,
-    POTENTIALS_1D,
-    SMOOTH_POTENTIAL,
-    SMOOTH_POTENTIAL_2D,
-    TRIANGLE_POTENTIAL,
     RateRow,
     RateTable,
     _auto_fine_factor,
-    benchmark_problem_1d,
-    benchmark_problem_2d,
     make_observation,
     rate_sweep,
     read_field_csv,
@@ -37,6 +30,14 @@ from fracpot.experiments import (
 from fracpot.fem import NodalField, build_mesh, interpolate_nodal
 from fracpot.forward import solve_forward
 from fracpot.inverse import DataFloorError, reconstruct
+from conftest import (
+    INDICATOR_POTENTIAL,
+    SMOOTH_POTENTIAL,
+    SMOOTH_POTENTIAL_2D,
+    TRIANGLE_POTENTIAL,
+    benchmark_problem_1d,
+    benchmark_problem_2d,
+)
 
 
 class TestBenchmarks:
@@ -63,7 +64,6 @@ class TestBenchmarks:
 
     def test_reference_potentials_within_bounds(self):
         x = np.linspace(0.0, 10.0, 1001)
-        assert set(POTENTIALS_1D) == {"smooth", "triangle", "indicator"}
         for expr, low, high in [
             (SMOOTH_POTENTIAL, 2.0, 4.0),
             (TRIANGLE_POTENTIAL, 3.0, 4.0),

@@ -19,12 +19,7 @@ from fracpot import forward
 from fracpot.cq import cq_weights, discrete_caputo
 from fracpot.fem import assemble_load, assemble_operators, build_mesh, interpolate_nodal
 from fracpot.forward import ForwardSolution, ProblemSpec, restrict_to_mesh, solve_forward
-from fracpot.experiments import (
-    SMOOTH_POTENTIAL,
-    SMOOTH_POTENTIAL_2D,
-    benchmark_problem_1d,
-    benchmark_problem_2d,
-)
+from conftest import SMOOTH_POTENTIAL, SMOOTH_POTENTIAL_2D, benchmark_problem_1d, benchmark_problem_2d
 
 
 def small_spec(alpha=0.7, cells=4, num_steps=2, tau_total=0.2):
@@ -222,6 +217,10 @@ class TestValidation:
             ("num_steps", 0),
             ("M1", 0.0),
             ("M1", float("nan")),
+            ("M2_floor", 0.0),
+            ("M2_floor", float("nan")),
+            ("fp_tol", -1.0),
+            ("fp_tol", float("nan")),
             ("seed", -1),
         ],
     )

@@ -13,12 +13,7 @@ import logging
 import numpy as np
 import pytest
 
-from fracpot.experiments import (
-    SMOOTH_POTENTIAL,
-    benchmark_problem_1d,
-    make_observation,
-    relative_error,
-)
+from fracpot.experiments import make_observation, relative_error
 from fracpot.fem import NodalField, build_mesh, interpolate_nodal, mass_matrix, mass_norm
 from fracpot.forward import solve_forward
 from fracpot.inverse import (
@@ -29,6 +24,7 @@ from fracpot.inverse import (
     fixed_point_update,
     reconstruct,
 )
+from conftest import SMOOTH_POTENTIAL, benchmark_problem_1d
 
 
 class TestPsiH:

@@ -67,10 +67,17 @@ def _parse_expr(mapping: dict, key: str, where: str) -> FieldExpr:
         raise ConfigError(f"bad expression for {where}.{key}: {exc}") from exc
 
 
+def _real(value, key: str) -> float:
+    """A real config value as a float; a JSON boolean is not a number."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value, key: str) -> int:
-    """A whole-number config value as an int: 3 and 3.0 pass, 3.7 does not."""
+    """A whole-number config value as an int: 3 and 3.0 pass, 3.7 and true do not."""
     number = int(value)
-    if number != float(value):
+    if number != _real(value, key):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return number
 
@@ -95,11 +102,11 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
     try:
         domain = _require(raw, "domain", "config")
         fields = _require(raw, "fields", "config")
-        alpha = float(_require(raw, "alpha", "config"))
-        T = float(_require(raw, "T", "config"))
+        alpha = _real(_require(raw, "alpha", "config"), "alpha")
+        T = _real(_require(raw, "T", "config"), "T")
         num_steps = _integer(_require(raw, "num_steps", "config"), "num_steps")
         seed = _integer(raw.get("seed", 0), "seed")
-        delta = float(raw.get("delta", 0.0))
+        delta = _real(raw.get("delta", 0.0), "delta")
         if overrides is not None:
             if getattr(overrides, "alpha", None) is not None:
                 alpha = overrides.alpha
@@ -110,7 +117,10 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
             if getattr(overrides, "seed", None) is not None:
                 seed = overrides.seed
         mesh = build_mesh(
-            (float(_require(domain, "a", "domain")), float(_require(domain, "b", "domain"))),
+            (
+                _real(_require(domain, "a", "domain"), "domain.a"),
+                _real(_require(domain, "b", "domain"), "domain.b"),
+            ),
             _integer(_require(domain, "cells", "domain"), "domain.cells"),
             _integer(domain.get("dim", 1), "domain.dim"),
         )
@@ -122,9 +132,9 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
             v_expr=_parse_expr(fields, "v", "fields"),
             b_expr=_parse_expr(fields, "b", "fields"),
             f_expr=_parse_expr(fields, "f", "fields"),
-            M1=float(raw.get("M1", 5.0)),
-            M2_floor=float(raw.get("M2_floor", 1e-6)),
-            fp_tol=float(raw.get("tol", 1e-10)),
+            M1=_real(raw.get("M1", 5.0), "M1"),
+            M2_floor=_real(raw.get("M2_floor", 1e-6), "M2_floor"),
+            fp_tol=_real(raw.get("tol", 1e-10), "tol"),
             max_iter=_integer(raw.get("max_iter", 50_000), "max_iter"),
             seed=seed,
         )
@@ -143,9 +153,11 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
             q_boundary=_optional_expr(fields, "q_boundary"),
             q0=_optional_expr(fields, "q0"),
             delta=delta,
-            deltas=descending_noise_levels(raw.get("deltas", DEFAULT_DELTAS)),
+            deltas=descending_noise_levels(
+                [_real(d, "deltas") for d in raw.get("deltas", DEFAULT_DELTAS)]
+            ),
             # replace() runs ProblemSpec's range check on every order of the sweep
-            alphas=[replace(spec, alpha=float(a)).alpha for a in alphas],
+            alphas=[replace(spec, alpha=_real(a, "alphas")).alpha for a in alphas],
             fine_factor=fine_factor,
             fine_step_factor=fine_step_factor,
         )

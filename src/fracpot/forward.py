@@ -1,9 +1,10 @@
 """Fully discrete solver for the (sub)diffusion problem with a potential.
 
 The scheme marches dbar^alpha u^n - Delta_h u^n + q u^n = f in weak form:
-at every step the interior system (b_0 tau^{-alpha} M + S + M_q) u^n = rhs
-is solved by CG, where the right-hand side carries the convolution-quadrature
-history.  Boundary nodes are pinned to the interpolated boundary data.
+the interior system (b_0 tau^{-alpha} M + S + M_q) u^n = rhs is prepared once
+per march and solved by CG at every step, where the right-hand side carries
+the convolution-quadrature history.  Boundary nodes are pinned to the
+interpolated boundary data.
 
 Everything that does not depend on the potential (M, S, the load, nodal f,
 boundary data, u^0, the CQ weights) is built once per ProblemSpec, on first
@@ -18,6 +19,7 @@ time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -35,7 +37,7 @@ from .fem import (
     stiffness_matrix,
     weighted_mass_matrix,
 )
-from .sparselin import REL_TOL, SolveFailure, solve_spd
+from .sparselin import REL_TOL, SolveFailure, prepare_spd, solve_spd
 
 _BOUND_SLACK = 1e-9
 
@@ -71,6 +73,14 @@ class ProblemSpec:
             raise ValueError(f"final time must be positive, got {self.T}")
         if self.num_steps < 1:
             raise ValueError(f"need at least one time step, got {self.num_steps}")
+        if not self.tau > 0.0:
+            raise ValueError(f"time step tau = T/num_steps underflows to {self.tau}")
+        try:
+            scale = self.tau ** (-self.alpha)
+        except OverflowError:
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise ValueError(f"tau^-alpha overflows for the time step tau = {self.tau:g}")
         if not self.M1 > 0.0:
             raise ValueError(f"potential bound M1 must be positive, got {self.M1}")
         if not self.M2_floor > 0.0:
@@ -171,7 +181,7 @@ def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
     n_steps = spec.num_steps
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
     system = setup.base + weighted_mass_matrix(mesh, q)
-    system_ii = system[np.ix_(ii, ii)].tocsr()
+    system_ii = prepare_spd(system[np.ix_(ii, ii)])
     rhs_base = setup.load_int - system[np.ix_(ii, bb)] @ setup.boundary_values
 
     history = np.empty((n_steps + 1, mesh.n_nodes))

@@ -23,7 +23,7 @@ from .fem import (
     stiffness_matrix,
 )
 from .forward import ProblemSpec, solve_forward
-from .sparselin import SolveFailure, solve_spd
+from .sparselin import SolveFailure, prepare_spd, solve_spd
 
 logger = logging.getLogger(__name__)
 
@@ -80,7 +80,7 @@ def compute_psi_h(mesh: Mesh, g_delta: NodalField, psi_boundary: np.ndarray) -> 
         raise ValueError("psi_boundary must carry one value per boundary node")
     mass, stiff = mass_matrix(mesh), stiffness_matrix(mesh)
     rhs = -(stiff @ g_delta.values)[ii] - mass[np.ix_(ii, bb)] @ psi_b
-    interior, report = solve_spd(mass[np.ix_(ii, ii)].tocsr(), rhs)
+    interior, report = solve_spd(prepare_spd(mass[np.ix_(ii, ii)]), rhs)
     if not report.converged:
         raise SolveFailure(
             f"mass solve for the data Laplacian stalled at residual {report.final_residual:.3e}"

@@ -296,6 +296,9 @@ class TestConfigErrors:
             ("history", "seed", 0.5),
             ("history", "fine_factor", 1.5),
             ("history", "fine_step_factor", 2.5),
+            ("history", "num_steps", True),
+            ("history", "seed", True),
+            ("history", "alpha", True),
         ],
     )
     def test_out_of_range_value_exits_2_without_traceback(
@@ -307,6 +310,17 @@ class TestConfigErrors:
         assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("T, code", [(1e-320, 2), (5e-324, 2), (1e-300, 3)])
+    def test_tiny_final_time_ends_in_an_exit_code(self, tmp_path, capsys, T, code):
+        # alpha 1: tau^-1 overflows at T=1e-320 and tau underflows at 5e-324;
+        # at T=1e-300 the scale is finite but the first right-hand side's norm overflows.
+        config = write_config(tmp_path, alpha=1.0, T=T)
+        with np.errstate(over="ignore"):
+            assert main(["forward", "--config", str(config), "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert ("configuration error" if code == 2 else "numerical failure") in err
+        assert "Traceback" not in err
 
 
 LOADER_KEYS = (

@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fracpot import forward
+from fracpot import forward, sparselin
 from fracpot.cq import cq_weights, discrete_caputo
 from fracpot.fem import assemble_load, assemble_operators, build_mesh, interpolate_nodal
 from fracpot.forward import ForwardSolution, ProblemSpec, restrict_to_mesh, solve_forward
@@ -192,6 +192,25 @@ class TestSetupLifetime:
         assert changed.discretization is not spec.discretization
         assert not np.array_equal(third.terminal.values, first.terminal.values)
 
+    def test_one_march_prepares_one_system(self, monkeypatch):
+        prepared, solved = [], []
+
+        def counting_prepare(a):
+            prepared.append(sparselin.prepare_spd(a))
+            return prepared[-1]
+
+        def counting_solve(system, rhs, x0=None):
+            solved.append(system)
+            return sparselin.solve_spd(system, rhs, x0)
+
+        monkeypatch.setattr(forward, "prepare_spd", counting_prepare)
+        monkeypatch.setattr(forward, "solve_spd", counting_solve)
+        spec = small_spec(num_steps=4)
+        solve_forward(spec, interpolate_nodal(lambda x: 1.0 + x, spec.mesh))
+        assert len(prepared) == 1
+        assert len(solved) == spec.num_steps
+        assert all(system is prepared[0] for system in solved)
+
 
 class TestValidation:
     def test_initial_value_must_match_boundary(self):
@@ -228,6 +247,14 @@ class TestValidation:
         good = small_spec()
         with pytest.raises(ValueError):
             dataclasses.replace(good, **{field: value})
+
+    @pytest.mark.parametrize(
+        "T, alpha, match",
+        [(1e-320, 1.0, "overflows"), (5e-324, 0.7, "underflows")],
+    )
+    def test_time_step_must_give_a_finite_scale(self, T, alpha, match):
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(small_spec(), T=T, alpha=alpha)
 
     def test_tau_property(self):
         assert small_spec(num_steps=2, tau_total=0.2).tau == pytest.approx(0.1, abs=0.0)

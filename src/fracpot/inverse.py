@@ -9,6 +9,7 @@ linearly once the final time is large enough.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,12 +80,17 @@ def compute_psi_h(mesh: Mesh, g_delta: NodalField, psi_boundary: np.ndarray) -> 
     if psi_b.shape != bb.shape:
         raise ValueError("psi_boundary must carry one value per boundary node")
     mass, stiff = mass_matrix(mesh), stiffness_matrix(mesh)
-    rhs = -(stiff @ g_delta.values)[ii] - mass[np.ix_(ii, bb)] @ psi_b
-    interior, report = solve_spd(prepare_spd(mass[np.ix_(ii, ii)]), rhs)
-    if not report.converged:
-        raise SolveFailure(
-            f"mass solve for the data Laplacian stalled at residual {report.final_residual:.3e}"
-        )
+    with np.errstate(over="ignore"):
+        rhs = -(stiff @ g_delta.values)[ii] - mass[np.ix_(ii, bb)] @ psi_b
+        interior, report = solve_spd(prepare_spd(mass[np.ix_(ii, ii)]), rhs)
+        if not report.converged:
+            if not math.isfinite(rhs.dot(rhs)):
+                raise SolveFailure(
+                    "mass solve for the data Laplacian: the right-hand side has a non-finite norm"
+                )
+            raise SolveFailure(
+                f"mass solve for the data Laplacian stalled at residual {report.final_residual:.3e}"
+            )
     full = np.empty(mesh.n_nodes)
     full[ii] = interior
     full[bb] = psi_b

@@ -2,7 +2,8 @@
 
 A system matrix is prepared once (`prepare_spd`) and then solved for one
 right-hand side per call (`solve_spd`), so the checks, the CSR arrays and the
-inverse diagonal are not rebuilt at every time step.
+inverse diagonal are not rebuilt at every time step.  `csr_matvec` is the one
+entry point to scipy's CSR product kernel, for this module and its callers.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import scipy.sparse as sp
 # more than the product itself on the small systems of a short march.
 from scipy.sparse import _sparsetools
 
+_CSR_MATVEC = _sparsetools.csr_matvec
 REL_TOL = 1e-12  # the one target of every solve in the pipeline
 
 
@@ -44,9 +46,19 @@ class SpdSystem:
 
     def matvec(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = A v, the same arithmetic as `csr @ v`."""
-        out.fill(0.0)
-        _sparsetools.csr_matvec(self.n, self.n, self.indptr, self.indices, self.data, v, out)
-        return out
+        return csr_matvec(self.indptr, self.indices, self.data, v, out)
+
+
+def csr_matvec(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, v: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """out = A v for the CSR arrays of A (len(out) rows, len(v) columns).
+
+    Bitwise the product `csr @ v`: the same kernel on a zeroed output.
+    """
+    out.fill(0.0)
+    _CSR_MATVEC(len(out), len(v), indptr, indices, data, v, out)
+    return out
 
 
 def prepare_spd(a: sp.spmatrix) -> SpdSystem:
@@ -81,47 +93,60 @@ def solve_spd(
     SolveReport, never hidden.  A right-hand side of non-finite norm is
     reported as not converged after 0 iterations.  An optional x0 warm-starts
     the iteration.
+
+    x sits next to -r in one buffer and p next to A p in another, so one
+    multiply and one add update both.  Negation is exact, so -r + s A p rounds
+    as r - s A p does, -z = D^-1 (-r), p - (-z) = p + z, and the dot products
+    of negated pairs are the same sums: the iterates equal those of the plain
+    x, r, z, p loop bit for bit, up to the sign of exact zeros.  `v.dot(w)` is
+    the BLAS product that `v @ w` runs on vectors, without the ufunc dispatch.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = system.n
     if rhs.shape != (n,):
         raise ValueError(f"dimension mismatch: matrix is {(n, n)}, rhs has shape {rhs.shape}")
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    xr = np.zeros((2, n))  # [x, -r]
+    x, neg_r = xr
+    if x0 is not None:
+        x[:] = x0
     rhs_norm = math.sqrt(rhs.dot(rhs))
     if not math.isfinite(rhs_norm):
         return x, SolveReport(0, math.nan, False)
     if rhs_norm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
-    inv_diag = system.inv_diag
-    ax, ap, z, scaled = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    pa = np.empty((2, n))  # [p, A p]
+    p, ap = pa
+    neg_z, scaled = np.empty(n), np.empty((2, n))
+    # Names bound once: the loop body is a dozen calls on short vectors, so
+    # attribute lookups are a visible part of its cost.
+    indptr, indices, data, inv_diag = system.indptr, system.indices, system.data, system.inv_diag
+    multiply, r_dot, p_dot = np.multiply, neg_r.dot, p.dot
 
     cap = 10 * n
     iterations = 0
     # Outer loop restarts from the true residual, so recurrence drift can
     # never fake convergence.
     while True:
-        r = rhs - system.matvec(x, ax)
-        res = math.sqrt(r.dot(r)) / rhs_norm
+        np.subtract(csr_matvec(indptr, indices, data, x, ap), rhs, out=neg_r)
+        res = math.sqrt(r_dot(neg_r)) / rhs_norm
         if res <= REL_TOL or iterations >= cap:
             break
-        np.multiply(inv_diag, r, out=z)
-        p = z.copy()
-        rz = float(r @ z)
+        multiply(inv_diag, neg_r, out=neg_z)
+        np.negative(neg_z, out=p)
+        rz = float(r_dot(neg_z))
         inner_target = 0.5 * REL_TOL * rhs_norm
         while iterations < cap:
-            system.matvec(p, ap)
-            pap = float(p @ ap)
+            csr_matvec(indptr, indices, data, p, ap)
+            pap = float(p_dot(ap))
             if pap <= 0.0:
                 raise ValueError("matrix is not positive definite")
-            step = rz / pap
-            x += np.multiply(step, p, out=scaled)
-            r -= np.multiply(step, ap, out=scaled)
+            xr += multiply(rz / pap, pa, out=scaled)
             iterations += 1
-            if math.sqrt(r.dot(r)) <= inner_target:
+            if math.sqrt(r_dot(neg_r)) <= inner_target:
                 break
-            np.multiply(inv_diag, r, out=z)
-            rz_next = float(r @ z)
+            multiply(inv_diag, neg_r, out=neg_z)
+            rz_next = float(r_dot(neg_z))
             p *= rz_next / rz
-            p += z
+            p -= neg_z
             rz = rz_next
     return x, SolveReport(iterations, res, bool(res <= REL_TOL))

@@ -16,7 +16,8 @@ from hypothesis import settings
 
 from fracpot.cli import load_config
 from fracpot.expressions import parse_field_expr
-from fracpot.fem import build_mesh
+from fracpot.fem import build_mesh, interpolate_nodal
+from fracpot.inverse import clamp_potential
 
 settings.register_profile(
     "fracpot",
@@ -27,6 +28,7 @@ settings.register_profile(
 settings.load_profile("fracpot")
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+RECON_1D_SMALL_T = CONFIGS.parent / "perfbench" / "workloads" / "recon_1d_small_T.json"
 
 # The paper's reference potentials; test_cli checks that the configs hold them.
 SMOOTH_POTENTIAL = parse_field_expr("3+cos(0.6*pi*x)")
@@ -52,3 +54,16 @@ def benchmark_problem_1d(**changes):
 def benchmark_problem_2d(**changes):
     """The 2D benchmark problem (30^2 cells, 100 steps, alpha 0.5, T 1)."""
     return config_problem("sweep_2d.json", **changes)
+
+
+def recon_1d_small_t():
+    """The spec and true potential of the recon_1d_small_T benchmark workload."""
+    cfg = load_config(RECON_1D_SMALL_T)
+    q = clamp_potential(interpolate_nodal(cfg.q_true, cfg.spec.mesh), cfg.spec.M1)
+    return cfg.spec, q
+
+
+def small_2d():
+    """The 2D benchmark problem on 12^2 cells x 8 steps, with its true potential."""
+    spec = benchmark_problem_2d(cells=12, num_steps=8)
+    return spec, interpolate_nodal(SMOOTH_POTENTIAL_2D, spec.mesh)

@@ -284,6 +284,8 @@ class TestConfigErrors:
             ("sweep", "deltas", [1e-3, 1e-2]),
             ("sweep", "seed", -1),
             ("forward", "M1", float("nan")),
+            ("forward", "M1", float("inf")),
+            ("forward", "T", float("inf")),
             ("sweep", "alphas", []),
             ("sweep", "deltas", []),
             ("history", "tol", -1),
@@ -321,6 +323,21 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert ("configuration error" if code == 2 else "numerical failure") in err
         assert "Traceback" not in err
+
+    def test_overflowing_right_hand_side_is_named_without_a_warning(self, tmp_path):
+        # A subprocess, so stderr holds exactly what a shell user would see.
+        config = write_config(tmp_path, alpha=1.0, T=1e-300)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "fracpot.cli",
+                "forward", "--config", str(config), "--out", str(tmp_path),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert "time step 1/10: the right-hand side has a non-finite norm" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 LOADER_KEYS = (

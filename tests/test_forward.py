@@ -8,18 +8,39 @@ numpy linear algebra straight from the definition
 (interior rows, boundary pinned), so any sign or indexing slip in the
 history convolution shows up as a mismatch.  For alpha = 1 the scheme
 must coincide with classic backward Euler, which is rolled by hand.
+
+`reference_march` is the march as it was before the interior blocks came
+from maps built once per spec: fancy-indexed blocks and scipy products.  The
+march must reproduce it bit for bit.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fracpot import forward, sparselin
 from fracpot.cq import cq_weights, discrete_caputo
-from fracpot.fem import assemble_load, assemble_operators, build_mesh, interpolate_nodal
+from fracpot.fem import (
+    assemble_load,
+    assemble_operators,
+    build_mesh,
+    interpolate_nodal,
+    stiffness_matrix,
+    weighted_mass_matrix,
+)
 from fracpot.forward import ForwardSolution, ProblemSpec, restrict_to_mesh, solve_forward
-from conftest import SMOOTH_POTENTIAL, SMOOTH_POTENTIAL_2D, benchmark_problem_1d, benchmark_problem_2d
+from fracpot.sparselin import prepare_spd, solve_spd
+from conftest import (
+    SMOOTH_POTENTIAL,
+    SMOOTH_POTENTIAL_2D,
+    benchmark_problem_1d,
+    benchmark_problem_2d,
+    recon_1d_small_t,
+    small_2d,
+)
 
 
 def small_spec(alpha=0.7, cells=4, num_steps=2, tau_total=0.2):
@@ -58,6 +79,35 @@ def dense_march(spec, q_values):
         un[ii] = np.linalg.solve(system[np.ix_(ii, ii)], rhs[ii])
         states.append(un)
     return np.array(states)
+
+
+def reference_march(spec, q):
+    """The march loop with scipy's sum, fancy indexing and products, kept
+    verbatim as the oracle; returns (history, terminal derivative, system)."""
+    setup = spec.discretization
+    mesh = spec.mesh
+    n_steps = spec.num_steps
+    ii, bb = mesh.interior_nodes, mesh.boundary_nodes
+    w0 = cq_weights(spec.alpha, spec.num_steps, spec.tau).weights[0]
+    base = (setup.scale * w0) * setup.mass + stiffness_matrix(mesh)
+    system = base + weighted_mass_matrix(mesh, q)
+    system_ii = prepare_spd(system[np.ix_(ii, ii)])
+    rhs_base = setup.load_int - system[np.ix_(ii, bb)] @ setup.boundary_values
+
+    history = np.empty((n_steps + 1, mesh.n_nodes))
+    history[0] = setup.u0
+    history[1:, bb] = setup.boundary_values
+    x = setup.u0[ii]
+    for n in range(1, n_steps + 1):
+        past = setup.weights_reversed[n_steps - n : n_steps] @ history[:n]
+        past -= setup.partial[n] * history[0]
+        rhs = rhs_base - setup.scale * (setup.mass_int @ past)
+        x, report = solve_spd(system_ii, rhs, x0=x)
+        assert report.converged
+        history[n, ii] = x
+    frac = np.zeros(mesh.n_nodes)
+    frac[ii] = setup.scale * (x + past[ii])
+    return history, frac, system
 
 
 class TestAgainstDenseOracle:
@@ -212,6 +262,91 @@ class TestSetupLifetime:
         assert all(system is prepared[0] for system in solved)
 
 
+MARCH_PROBLEMS = pytest.mark.parametrize(
+    "problem", [recon_1d_small_t, small_2d], ids=["1d_small_T", "2d_12x8"]
+)
+
+
+class TestMarchOracle:
+    @MARCH_PROBLEMS
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    def test_bitwise_equal_to_the_reference_march(self, monkeypatch, problem, alpha):
+        spec, q = problem()
+        spec = dataclasses.replace(spec, alpha=alpha)
+        prepared = []
+
+        def recording_prepare(a):
+            prepared.append(a)
+            return sparselin.prepare_spd(a)
+
+        monkeypatch.setattr(forward, "prepare_spd", recording_prepare)
+        solution = solve_forward(spec, q)
+        monkeypatch.undo()
+        history, frac, system = reference_march(spec, q)
+        np.testing.assert_array_equal(solution.history, history)
+        np.testing.assert_array_equal(solution.terminal.values, history[-1])
+        np.testing.assert_array_equal(solution.frac_deriv_terminal.values, frac)
+
+        ii = spec.mesh.interior_nodes
+        (gathered,) = prepared
+        expected = system[np.ix_(ii, ii)]
+        assert gathered.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(gathered, name), getattr(expected, name))
+
+
+SPARSE_TYPES = [
+    cls for name in dir(sp)
+    if name.endswith(("_matrix", "_array")) and isinstance(cls := getattr(sp, name), type)
+]
+SPARSE_OPERATORS = ("__getitem__", "__matmul__", "__add__", "__sub__", "__mul__", "__rmul__")
+
+
+def sparse_calls(monkeypatch, march, spec, q):
+    """Calls of scipy.sparse operators made by one march of a set-up spec."""
+    spec.discretization  # the once-per-spec setup is not counted
+    originals = {
+        (cls, op): getattr(cls, op)
+        for cls in SPARSE_TYPES
+        for op in SPARSE_OPERATORS
+        if hasattr(cls, op)
+    }
+    counts = Counter()
+    for (cls, op), original in originals.items():
+        def counting(self, *args, _op=op, _original=original):
+            counts[_op] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, op, counting)
+    march(spec, q)
+    monkeypatch.undo()
+    return counts
+
+
+class TestSparseFreeMarch:
+    """No sparse indexing, and no sparse operator whose count grows with the
+    number of steps, may come back into the march."""
+
+    @MARCH_PROBLEMS
+    def test_calls_do_not_grow_with_the_steps(self, monkeypatch, problem):
+        spec, q = problem()
+        short, long = (
+            sparse_calls(monkeypatch, solve_forward, dataclasses.replace(spec, num_steps=n), q)
+            for n in (4, 8)
+        )
+        assert short == long
+        assert short["__getitem__"] == 0
+
+    def test_the_count_sees_the_reference_march_grow(self, monkeypatch):
+        spec, q = small_2d()
+        short, long = (
+            sparse_calls(monkeypatch, reference_march, dataclasses.replace(spec, num_steps=n), q)
+            for n in (4, 8)
+        )
+        assert short["__getitem__"] == long["__getitem__"] == 2
+        assert long["__matmul__"] - short["__matmul__"] == 4
+
+
 class TestValidation:
     def test_initial_value_must_match_boundary(self):
         with pytest.raises(ValueError, match="boundary"):
@@ -233,9 +368,11 @@ class TestValidation:
             ("alpha", 1.5),
             ("T", -1.0),
             ("T", float("nan")),
+            ("T", float("inf")),
             ("num_steps", 0),
             ("M1", 0.0),
             ("M1", float("nan")),
+            ("M1", float("inf")),
             ("M2_floor", 0.0),
             ("M2_floor", float("nan")),
             ("fp_tol", -1.0),

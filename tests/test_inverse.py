@@ -9,6 +9,7 @@ where the fixed point recovers the interpolated truth almost exactly.
 
 import dataclasses
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from fracpot.inverse import (
     fixed_point_update,
     reconstruct,
 )
+from fracpot.sparselin import SolveFailure
 from conftest import SMOOTH_POTENTIAL, benchmark_problem_1d
 
 
@@ -60,6 +62,15 @@ class TestPsiH:
         g = interpolate_nodal(lambda x: x, other)
         with pytest.raises(ValueError, match="aligned"):
             compute_psi_h(mesh, g, np.zeros(2))
+
+    def test_overflowing_right_hand_side_is_named(self):
+        # |psi_b| = 1e300 keeps every entry finite, but the norm overflows.
+        mesh = build_mesh((0.0, 1.0), 10)
+        g = interpolate_nodal(lambda x: 1.0 + x, mesh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolveFailure, match="right-hand side has a non-finite norm"):
+                compute_psi_h(mesh, g, np.full(2, 1e300))
 
     def test_boundary_shape_checked(self):
         mesh = build_mesh((0.0, 1.0), 8)

@@ -17,9 +17,6 @@ import pytest
 import scipy.sparse as sp
 
 from fracpot import forward
-from fracpot.cli import load_config
-from fracpot.fem import interpolate_nodal
-from fracpot.inverse import clamp_potential
 from fracpot.sparselin import (
     REL_TOL,
     SolveFailure,
@@ -28,9 +25,7 @@ from fracpot.sparselin import (
     prepare_spd,
     solve_spd,
 )
-from conftest import CONFIGS, SMOOTH_POTENTIAL_2D, benchmark_problem_2d
-
-RECON_1D_SMALL_T = CONFIGS.parent / "perfbench" / "workloads" / "recon_1d_small_T.json"
+from conftest import recon_1d_small_t, small_2d
 
 # Nodal values of x(1-x)/2 at x = 0.25, 0.5, 0.75 (exact binary fractions).
 POISSON_M4_SOLUTION = np.array([0.09375, 0.125, 0.09375])
@@ -115,18 +110,6 @@ def march_solves(monkeypatch, spec, q):
     monkeypatch.undo()
     (matrix,) = matrices
     return sp.csr_matrix(matrix), solves
-
-
-def recon_1d_small_t():
-    """The spec and true potential of the recon_1d_small_T benchmark workload."""
-    cfg = load_config(RECON_1D_SMALL_T)
-    q = clamp_potential(interpolate_nodal(cfg.q_true, cfg.spec.mesh), cfg.spec.M1)
-    return cfg.spec, q
-
-
-def small_2d():
-    spec = benchmark_problem_2d(cells=12, num_steps=8)
-    return spec, interpolate_nodal(SMOOTH_POTENTIAL_2D, spec.mesh)
 
 
 def assert_bitwise_like_reference(a, rhs, x0=None):

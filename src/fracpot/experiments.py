@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fem import NodalField, Mesh, build_mesh, interpolate_nodal, mass_matrix, mass_norm
+from .fem import NodalField, Mesh, build_mesh, interpolate_nodal, mass_norm
 from .forward import ProblemSpec, restrict_to_mesh, solve_forward
 from .inverse import DataFloorError, ObservationData, boundary_psi, reconstruct
 from .sparselin import SolveFailure
@@ -76,7 +76,7 @@ def relative_error(q_star: NodalField, q_true, mesh: Mesh) -> float:
     """Relative FE L2 error of a reconstruction against the true potential."""
     if not q_star.mesh.matches(mesh):
         raise ValueError("reconstruction is not aligned with the mesh")
-    mass = mass_matrix(mesh)
+    mass = mesh.mass
     truth = interpolate_nodal(q_true, mesh).values
     denom = mass_norm(truth, mass)
     if denom == 0.0:

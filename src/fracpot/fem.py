@@ -9,10 +9,13 @@ here (the weighted mass integrand is at most cubic per axis).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+
+from .sparselin import csr_matvec
 
 # 2-point Gauss rule on the reference interval [0, 1], exact for cubics.
 _GAUSS_PTS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -33,6 +36,13 @@ class Mesh:
     elements : (n_elements, 2**dim) corner node indices per cell, ordered
         (0,0), (1,0), (0,1), (1,1) in local x-fastest convention
     boundary_nodes, interior_nodes : sorted index arrays partitioning nodes
+    mass : the mass matrix M
+    interior_block, boundary_block : BlockMaps of the interior x interior and
+        the interior x boundary blocks of the Q1 pattern
+
+    The last three depend on the mesh alone; each is built on first use and
+    kept with the mesh.  M, S and every M_q come from one scatter over the
+    same elements, so they share one Q1 pattern, and the maps cut each of them.
     """
 
     dim: int
@@ -55,6 +65,58 @@ class Mesh:
             and self.cells_per_axis == other.cells_per_axis
             and self.bounds == other.bounds
         )
+
+    @cached_property
+    def mass(self) -> sp.csr_matrix:
+        return mass_matrix(self)
+
+    @cached_property
+    def interior_block(self) -> BlockMap:
+        return BlockMap.cut(self.mass, self.interior_nodes, self.interior_nodes)
+
+    @cached_property
+    def boundary_block(self) -> BlockMap:
+        return BlockMap.cut(self.mass, self.interior_nodes, self.boundary_nodes)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockMap:
+    """The CSR structure of the block rows x cols of the matrices of one
+    pattern, and the positions in the pattern's data its entries come from.
+
+    rows and cols are sorted node lists, so for a matrix `a` of the pattern
+    with data `data`, `matrix(data)` holds the same arrays as scipy's
+    fancy-indexed block `a[rows][:, cols]`, and `matvec` computes its product
+    bit for bit.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray  # int32
+    indices: np.ndarray  # int32 block column numbers
+    take: np.ndarray  # int32 positions in the pattern's data, in block order
+
+    @classmethod
+    def cut(cls, pattern: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> BlockMap:
+        n = pattern.shape[0]
+        number = np.full(n, -1, dtype=np.int32)  # block column number, -1 outside cols
+        number[cols] = np.arange(cols.size, dtype=np.int32)
+        in_rows = np.zeros(n, dtype=bool)
+        in_rows[rows] = True
+        keep = np.repeat(in_rows, np.diff(pattern.indptr))
+        keep &= number[pattern.indices] >= 0
+        # Kept entries up to the end of each row; no row of a Q1 pattern is empty.
+        indptr = np.zeros(rows.size + 1, dtype=np.int32)
+        indptr[1:] = np.cumsum(keep, dtype=np.int32)[pattern.indptr[rows + 1] - 1]
+        take = np.flatnonzero(keep).astype(np.int32)
+        return cls((rows.size, cols.size), indptr, number[pattern.indices[take]], take)
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The block of the pattern's matrix with data `data`."""
+        return sp.csr_matrix((data[self.take], self.indices, self.indptr), shape=self.shape)
+
+    def matvec(self, data: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = (the block of the matrix with data `data`) v."""
+        return csr_matvec(self.indptr, self.indices, data[self.take], v, out)
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,17 @@ per march and solved by CG at every step, where the right-hand side carries
 the convolution-quadrature history.  Boundary nodes are pinned to the
 interpolated boundary data.
 
-Everything that does not depend on the potential (M, S, the load, nodal f,
-boundary data, u^0, the CQ weights, and the maps that cut the interior blocks
-out of the Q1 sparsity pattern) is built once per ProblemSpec, on first use,
-as its `discretization`.  A forward solve assembles only M_q, adds its data to
-that of the potential-independent part and gathers the two blocks it needs;
-every product then runs scipy's CSR kernel on preallocated buffers, with no
-sparse-matrix operator in the march.  A march holds exactly
-(N+1) * n_nodes * 8 bytes of history and no second copy of it.  The terminal
-derivative dbar^alpha u^N comes from the last step itself: that step already
-forms the history part of the convolution, so
+M and the maps that cut the interior blocks out of the Q1 sparsity pattern
+depend on the mesh alone and are kept by the mesh.  Everything else that does
+not depend on the potential (tau^{-alpha} b_0 M + S, M's interior rows, the
+load, nodal f, boundary data, u^0 and the CQ weights) is built once per
+ProblemSpec, on first use, as its `discretization`.  A forward solve assembles
+only M_q, adds its data to that of the potential-independent part and gathers
+the two blocks it needs; every product then runs scipy's CSR kernel on
+preallocated buffers, with no sparse-matrix operator in the march.  A march
+holds exactly (N+1) * n_nodes * 8 bytes of history and no second copy of it.
+The terminal derivative dbar^alpha u^N comes from the last step itself: that
+step already forms the history part of the convolution, so
 dbar^alpha u^N = tau^{-alpha} (u^N + past_N) on interior nodes, and it is
 exactly zero on the boundary, whose trace is constant in time.
 """
@@ -28,19 +29,18 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cq import cq_weights
 from .fem import (
+    BlockMap,
     Mesh,
     NodalField,
     assemble_load,
     interpolate_nodal,
-    mass_matrix,
     stiffness_matrix,
     weighted_mass_matrix,
 )
-from .sparselin import REL_TOL, SolveFailure, csr_matvec, prepare_spd, solve_spd
+from .sparselin import csr_matvec, prepare_spd, solve_failure, solve_spd
 
 _BOUND_SLACK = 1e-9
 
@@ -109,21 +109,15 @@ class ProblemSpec:
         """The potential-independent part of the scheme, built on first use.
 
         It lives in the instance, so `dataclasses.replace` gives a new spec
-        with a setup of its own.
+        with a setup of its own, which shares the mesh's M and block maps.
         """
         mesh = self.mesh
         ii, bb = mesh.interior_nodes, mesh.boundary_nodes
         scale = self.tau ** (-self.alpha)
         w = cq_weights(self.alpha, self.num_steps, self.tau).weights
-        mass = mass_matrix(mesh)
-        # M, S and every M_q come from fem's scatter over the same elements, so
-        # they share one canonical pattern.  base is (s M) + S entry by entry,
-        # as scipy adds them, except that an entry that cancels to exactly 0
-        # stays in the pattern instead of being dropped.
-        base = sp.csr_matrix(
-            ((scale * w[0]) * mass.data + stiffness_matrix(mesh).data, mass.indices, mass.indptr),
-            shape=mass.shape,
-        )
+        mass = mesh.mass
+        # M's interior rows, with every column.
+        rows = BlockMap.cut(mass, ii, np.arange(mesh.n_nodes))
         boundary = interpolate_nodal(self.b_expr, mesh).values[bb]
         u0 = interpolate_nodal(self.v_expr, mesh).values
         u0[bb] = boundary
@@ -131,11 +125,10 @@ class ProblemSpec:
             scale=scale,
             weights_reversed=np.ascontiguousarray(w[::-1]),
             partial=np.cumsum(w),
-            base=base,
-            interior_block=BlockMap.cut(base, ii, ii),
-            boundary_block=BlockMap.cut(base, ii, bb),
-            mass=mass,
-            mass_int=mass[ii],
+            # (s M) + S entry by entry, as scipy adds them, except that an
+            # entry that cancels to exactly 0 stays in the pattern.
+            base_data=(scale * w[0]) * mass.data + stiffness_matrix(mesh).data,
+            mass_int=(rows.indptr, rows.indices, mass.data[rows.take]),
             load_int=assemble_load(mesh, self.f_expr)[ii],
             f_nodes=interpolate_nodal(self.f_expr, mesh).values,
             boundary_values=boundary,
@@ -143,48 +136,10 @@ class ProblemSpec:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class BlockMap:
-    """The CSR structure of the block rows x cols of the matrices of one
-    pattern, and the positions in the pattern's data its entries come from.
-
-    rows and cols are sorted node lists, so for a matrix `a` of the pattern
-    with data `data`, `matrix(data)` holds the same arrays as scipy's
-    `a[np.ix_(rows, cols)]`, and `matvec` computes its product bit for bit.
-    """
-
-    shape: tuple[int, int]
-    indptr: np.ndarray  # int32
-    indices: np.ndarray  # int32 block column numbers
-    take: np.ndarray  # int32 positions in the pattern's data, in block order
-
-    @classmethod
-    def cut(cls, pattern: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> BlockMap:
-        n = pattern.shape[0]
-        number = np.full(n, -1, dtype=np.int32)  # block column number, -1 outside cols
-        number[cols] = np.arange(cols.size, dtype=np.int32)
-        in_rows = np.zeros(n, dtype=bool)
-        in_rows[rows] = True
-        keep = np.repeat(in_rows, np.diff(pattern.indptr))
-        keep &= number[pattern.indices] >= 0
-        # Kept entries up to the end of each row; no row of a Q1 pattern is empty.
-        indptr = np.zeros(rows.size + 1, dtype=np.int32)
-        indptr[1:] = np.cumsum(keep, dtype=np.int32)[pattern.indptr[rows + 1] - 1]
-        take = np.flatnonzero(keep).astype(np.int32)
-        return cls((rows.size, cols.size), indptr, number[pattern.indices[take]], take)
-
-    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        """The block of the pattern's matrix with data `data`."""
-        return sp.csr_matrix((data[self.take], self.indices, self.indptr), shape=self.shape)
-
-    def matvec(self, data: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = (the block of the matrix with data `data`) v."""
-        return csr_matvec(self.indptr, self.indices, data[self.take], v, out)
-
-
 @dataclass(frozen=True)
 class Discretization:
-    """Operators and data of a ProblemSpec that do not depend on the potential.
+    """Operators and data of a ProblemSpec that do not depend on the potential,
+    beyond M and the block maps, which its mesh keeps.
 
     weights_reversed holds b_N, ..., b_1, b_0 in one contiguous array, so the
     history convolution of step n is the BLAS product of its slice
@@ -194,11 +149,8 @@ class Discretization:
     scale: float  # tau^{-alpha}
     weights_reversed: np.ndarray
     partial: np.ndarray
-    base: sp.csr_matrix  # tau^{-alpha} b_0 M + S, in the Q1 pattern
-    interior_block: BlockMap  # interior rows and columns of the pattern
-    boundary_block: BlockMap  # interior rows, boundary columns
-    mass: sp.csr_matrix  # M
-    mass_int: sp.csr_matrix  # interior rows of M
+    base_data: np.ndarray  # data of tau^{-alpha} b_0 M + S in the mesh's Q1 pattern
+    mass_int: tuple[np.ndarray, np.ndarray, np.ndarray]  # CSR arrays of M's interior rows
     load_int: np.ndarray  # interior entries of the load (f, phi_i)
     f_nodes: np.ndarray  # nodal interpolant of f
     boundary_values: np.ndarray  # b at the boundary nodes
@@ -235,14 +187,13 @@ def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
     n_steps = spec.num_steps
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
     # The data of base + M_q, entry by entry as scipy's CSR sum adds them.
-    data = setup.base.data + weighted_mass_matrix(mesh, q).data
-    system_ii = prepare_spd(setup.interior_block.matrix(data))
+    data = setup.base_data + weighted_mass_matrix(mesh, q).data
+    system_ii = prepare_spd(mesh.interior_block.matrix(data))
     rhs = np.empty(ii.size)  # holds A_ib b, then each step's right-hand side
-    rhs_base = setup.load_int - setup.boundary_block.matvec(data, setup.boundary_values, rhs)
+    rhs_base = setup.load_int - mesh.boundary_block.matvec(data, setup.boundary_values, rhs)
     mass_past = np.empty(ii.size)
     scale, weights_reversed, partial = setup.scale, setup.weights_reversed, setup.partial
     mass_int = setup.mass_int
-    mass_arrays = mass_int.indptr, mass_int.indices, mass_int.data
 
     history = np.empty((n_steps + 1, mesh.n_nodes))
     history[0] = setup.u0
@@ -255,19 +206,12 @@ def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
             # past = sum_{j>=1} b_j u^{n-j} - (b_0 + ... + b_n) u^0
             past = weights_reversed[n_steps - n : n_steps] @ history[:n]
             past -= partial[n] * u0
-            csr_matvec(*mass_arrays, past, mass_past)
+            csr_matvec(*mass_int, past, mass_past)
             mass_past *= scale
             np.subtract(rhs_base, mass_past, out=rhs)
             x, report = solve_spd(system_ii, rhs, x0=x)
             if not report.converged:
-                if not math.isfinite(rhs.dot(rhs)):
-                    raise SolveFailure(
-                        f"time step {n}/{n_steps}: the right-hand side has a non-finite norm"
-                    )
-                raise SolveFailure(
-                    f"time step {n}/{n_steps}: CG stalled at relative residual "
-                    f"{report.final_residual:.3e} (target {REL_TOL:g})"
-                )
+                raise solve_failure(f"time step {n}/{n_steps}", report, rhs)
             history[n, ii] = x
     frac = np.zeros(mesh.n_nodes)
     frac[ii] = scale * (x + past[ii])

@@ -9,22 +9,13 @@ linearly once the final time is large enough.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (
-    Mesh,
-    NodalField,
-    evaluate_at,
-    interpolate_nodal,
-    mass_matrix,
-    mass_norm,
-    stiffness_matrix,
-)
+from .fem import Mesh, NodalField, evaluate_at, interpolate_nodal, mass_norm, stiffness_matrix
 from .forward import ProblemSpec, solve_forward
-from .sparselin import SolveFailure, prepare_spd, solve_spd
+from .sparselin import prepare_spd, solve_failure, solve_spd
 
 logger = logging.getLogger(__name__)
 
@@ -71,7 +62,8 @@ def compute_psi_h(mesh: Mesh, g_delta: NodalField, psi_boundary: np.ndarray) -> 
     """Data-regularized discrete Laplacian of the terminal observation.
 
     Interior values solve the mass system (psi, phi) = -(grad I_h g, grad phi)
-    over interior test functions; boundary values are prescribed.
+    over interior test functions; boundary values are prescribed.  The mass
+    system and M_ib psi_b are cut from the mesh's M by its block maps.
     """
     if not g_delta.mesh.matches(mesh):
         raise ValueError("data is not aligned with the mesh")
@@ -79,18 +71,13 @@ def compute_psi_h(mesh: Mesh, g_delta: NodalField, psi_boundary: np.ndarray) -> 
     psi_b = np.asarray(psi_boundary, dtype=float)
     if psi_b.shape != bb.shape:
         raise ValueError("psi_boundary must carry one value per boundary node")
-    mass, stiff = mass_matrix(mesh), stiffness_matrix(mesh)
+    mass = mesh.mass.data
     with np.errstate(over="ignore"):
-        rhs = -(stiff @ g_delta.values)[ii] - mass[np.ix_(ii, bb)] @ psi_b
-        interior, report = solve_spd(prepare_spd(mass[np.ix_(ii, ii)]), rhs)
+        mass_ib_psi_b = mesh.boundary_block.matvec(mass, psi_b, np.empty(ii.size))
+        rhs = -(stiffness_matrix(mesh) @ g_delta.values)[ii] - mass_ib_psi_b
+        interior, report = solve_spd(prepare_spd(mesh.interior_block.matrix(mass)), rhs)
         if not report.converged:
-            if not math.isfinite(rhs.dot(rhs)):
-                raise SolveFailure(
-                    "mass solve for the data Laplacian: the right-hand side has a non-finite norm"
-                )
-            raise SolveFailure(
-                f"mass solve for the data Laplacian stalled at residual {report.final_residual:.3e}"
-            )
+            raise solve_failure("mass solve for the data Laplacian", report, rhs)
     full = np.empty(mesh.n_nodes)
     full[ii] = interior
     full[bb] = psi_b
@@ -141,8 +128,7 @@ def reconstruct(
     if not obs.g_delta.mesh.matches(mesh):
         raise ValueError("observation is not aligned with the problem mesh")
     psi_h = compute_psi_h(mesh, obs.g_delta, obs.psi_boundary)
-    setup = spec.discretization
-    f_nodes, mass = setup.f_nodes, setup.mass
+    f_nodes, mass = spec.discretization.f_nodes, mesh.mass
     if q0 is None:
         q_vals = fixed_point_update(f_nodes, 0.0, psi_h.values, obs.g_delta.values, spec.M1)
     else:

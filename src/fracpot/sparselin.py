@@ -44,10 +44,6 @@ class SpdSystem:
     data: np.ndarray
     inv_diag: np.ndarray
 
-    def matvec(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = A v, the same arithmetic as `csr @ v`."""
-        return csr_matvec(self.indptr, self.indices, self.data, v, out)
-
 
 def csr_matvec(
     indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, v: np.ndarray, out: np.ndarray
@@ -59,6 +55,14 @@ def csr_matvec(
     out.fill(0.0)
     _CSR_MATVEC(len(out), len(v), indptr, indices, data, v, out)
     return out
+
+
+def solve_failure(context: str, report: SolveReport, rhs: np.ndarray) -> SolveFailure:
+    """The error for an unconverged solve of `rhs`: `context`, then the cause."""
+    if not math.isfinite(rhs.dot(rhs)):
+        return SolveFailure(f"{context}: the right-hand side has a non-finite norm")
+    stall = f"CG stalled at relative residual {report.final_residual:.3e} (target {REL_TOL:g})"
+    return SolveFailure(f"{context}: {stall}")
 
 
 def prepare_spd(a: sp.spmatrix) -> SpdSystem:

@@ -10,11 +10,12 @@ bookkeeping.  CSV tests round-trip full-precision dumps.
 import csv
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from fracpot import experiments
+from fracpot import experiments, fem
 from fracpot.experiments import (
     RateRow,
     RateTable,
@@ -37,6 +38,7 @@ from conftest import (
     TRIANGLE_POTENTIAL,
     benchmark_problem_1d,
     benchmark_problem_2d,
+    recon_1d_small_t,
 )
 
 
@@ -178,6 +180,32 @@ class TestRelativeError:
         field = NodalField(np.ones(mesh.n_nodes), mesh)
         with pytest.raises(ValueError, match="zero norm"):
             relative_error(field, lambda x: np.zeros_like(x), mesh)
+
+
+class TestMassAssembly:
+    def test_two_sweep_rows_assemble_the_mass_once(self, monkeypatch):
+        # A sweep row of the recon_1d_small_T benchmark: M serves the march,
+        # psi_h and every M-norm, and its mesh keeps it across rows.  Three
+        # fixed-point iterations show every use.
+        spec, _ = recon_1d_small_t()
+        spec = dataclasses.replace(spec, max_iter=3)
+        original = fem.mass_matrix
+        calls = []
+
+        def counting_mass(mesh):
+            calls.append(mesh)
+            return original(mesh)
+
+        # Wherever a fracpot module holds the function, as the benchmark's tracer wraps it.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fracpot") and getattr(module, "mass_matrix", None) is original:
+                monkeypatch.setattr(module, "mass_matrix", counting_mass)
+        for _ in range(2):
+            obs = make_observation(spec, TRIANGLE_POTENTIAL, 1, 1e-3, fine_step_factor=1)
+            result = reconstruct(spec, obs)
+            relative_error(result.q_star, TRIANGLE_POTENTIAL, spec.mesh)
+        assert result.iterations == 3
+        assert calls == [spec.mesh]
 
 
 class TestRateSweep:

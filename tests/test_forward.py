@@ -10,8 +10,8 @@ history convolution shows up as a mismatch.  For alpha = 1 the scheme
 must coincide with classic backward Euler, which is rolled by hand.
 
 `reference_march` is the march as it was before the interior blocks came
-from maps built once per spec: fancy-indexed blocks and scipy products.  The
-march must reproduce it bit for bit.
+from maps built once per mesh: fancy-indexed blocks and scipy products on an
+M that it assembles itself.  The march must reproduce it bit for bit.
 """
 
 import dataclasses
@@ -21,13 +21,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fracpot import forward, sparselin
+from fracpot import fem, forward, sparselin
 from fracpot.cq import cq_weights, discrete_caputo
 from fracpot.fem import (
     assemble_load,
     assemble_operators,
     build_mesh,
     interpolate_nodal,
+    mass_matrix,
     stiffness_matrix,
     weighted_mass_matrix,
 )
@@ -82,14 +83,17 @@ def dense_march(spec, q_values):
 
 
 def reference_march(spec, q):
-    """The march loop with scipy's sum, fancy indexing and products, kept
-    verbatim as the oracle; returns (history, terminal derivative, system)."""
+    """The march loop with scipy's sum, fancy indexing and products, kept as
+    the oracle; returns (history, terminal derivative, system).  It assembles
+    its own M, and (M @ past)[ii] sums each interior row in the order
+    M[ii] @ past does."""
     setup = spec.discretization
     mesh = spec.mesh
     n_steps = spec.num_steps
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
     w0 = cq_weights(spec.alpha, spec.num_steps, spec.tau).weights[0]
-    base = (setup.scale * w0) * setup.mass + stiffness_matrix(mesh)
+    mass = mass_matrix(mesh)
+    base = (setup.scale * w0) * mass + stiffness_matrix(mesh)
     system = base + weighted_mass_matrix(mesh, q)
     system_ii = prepare_spd(system[np.ix_(ii, ii)])
     rhs_base = setup.load_int - system[np.ix_(ii, bb)] @ setup.boundary_values
@@ -101,7 +105,7 @@ def reference_march(spec, q):
     for n in range(1, n_steps + 1):
         past = setup.weights_reversed[n_steps - n : n_steps] @ history[:n]
         past -= setup.partial[n] * history[0]
-        rhs = rhs_base - setup.scale * (setup.mass_int @ past)
+        rhs = rhs_base - setup.scale * (mass @ past)[ii]
         x, report = solve_spd(system_ii, rhs, x0=x)
         assert report.converged
         history[n, ii] = x
@@ -241,6 +245,25 @@ class TestSetupLifetime:
         assert len(calls) == 2
         assert changed.discretization is not spec.discretization
         assert not np.array_equal(third.terminal.values, first.terminal.values)
+
+    def test_a_changed_spec_keeps_the_mesh_operators(self, monkeypatch):
+        calls = []
+        original = fem.mass_matrix
+
+        def counting_mass(mesh):
+            calls.append(mesh)
+            return original(mesh)
+
+        monkeypatch.setattr(fem, "mass_matrix", counting_mass)
+        spec = small_spec(num_steps=4)
+        q = interpolate_nodal(lambda x: 1.0 + x, spec.mesh)
+        solve_forward(spec, q)
+        changed = dataclasses.replace(spec, f_expr=lambda x: 4.0 - x)
+        solve_forward(changed, q)
+        assert changed.discretization is not spec.discretization
+        assert changed.mesh.mass is spec.mesh.mass
+        assert changed.mesh.interior_block is spec.mesh.interior_block
+        assert len(calls) == 1
 
     def test_one_march_prepares_one_system(self, monkeypatch):
         prepared, solved = [], []

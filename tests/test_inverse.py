@@ -5,6 +5,10 @@ exact on quadratics, so for quadratic data the interior solve must return
 the constant Laplacian exactly (up to solver tolerance).  Reconstruction
 fixtures use crime-free small cases plus the self-consistent delta=0 setup
 where the fixed point recovers the interpolated truth almost exactly.
+
+`reference_psi_h` is compute_psi_h as it was before the mesh kept M and the
+maps of its blocks: a fresh M, fancy-indexed blocks and scipy products.
+compute_psi_h must reproduce it bit for bit.
 """
 
 import dataclasses
@@ -15,7 +19,14 @@ import numpy as np
 import pytest
 
 from fracpot.experiments import make_observation, relative_error
-from fracpot.fem import NodalField, build_mesh, interpolate_nodal, mass_matrix, mass_norm
+from fracpot.fem import (
+    NodalField,
+    build_mesh,
+    interpolate_nodal,
+    mass_matrix,
+    mass_norm,
+    stiffness_matrix,
+)
 from fracpot.forward import solve_forward
 from fracpot.inverse import (
     DataFloorError,
@@ -25,8 +36,22 @@ from fracpot.inverse import (
     fixed_point_update,
     reconstruct,
 )
-from fracpot.sparselin import SolveFailure
-from conftest import SMOOTH_POTENTIAL, benchmark_problem_1d
+from fracpot.sparselin import SolveFailure, prepare_spd, solve_spd
+from conftest import SMOOTH_POTENTIAL, benchmark_problem_1d, recon_1d_small_t, small_2d
+
+
+def reference_psi_h(mesh, g_delta, psi_b):
+    """The body of compute_psi_h with scipy's fancy indexing, kept verbatim as
+    the oracle."""
+    ii, bb = mesh.interior_nodes, mesh.boundary_nodes
+    mass, stiff = mass_matrix(mesh), stiffness_matrix(mesh)
+    rhs = -(stiff @ g_delta.values)[ii] - mass[np.ix_(ii, bb)] @ psi_b
+    interior, report = solve_spd(prepare_spd(mass[np.ix_(ii, ii)]), rhs)
+    assert report.converged
+    full = np.empty(mesh.n_nodes)
+    full[ii] = interior
+    full[bb] = psi_b
+    return full
 
 
 class TestPsiH:
@@ -77,6 +102,20 @@ class TestPsiH:
         g = interpolate_nodal(lambda x: x, mesh)
         with pytest.raises(ValueError, match="boundary"):
             compute_psi_h(mesh, g, np.zeros(3))
+
+
+class TestPsiHOracle:
+    @pytest.mark.parametrize("problem", [recon_1d_small_t, small_2d], ids=["1d_small_T", "2d"])
+    def test_bitwise_equal_to_the_fancy_indexed_body(self, problem):
+        spec, q = problem()
+        mesh = spec.mesh
+        rng = np.random.default_rng(11)
+        noisy = q.values + 1e-3 * rng.standard_normal(mesh.n_nodes)
+        g = NodalField(noisy, mesh)
+        psi_b = rng.uniform(-2.0, 2.0, mesh.boundary_nodes.size)
+        assert np.all(psi_b != 0.0)
+        psi = compute_psi_h(mesh, g, psi_b)
+        np.testing.assert_array_equal(psi.values, reference_psi_h(mesh, g, psi_b))
 
 
 class TestPointwiseOps:

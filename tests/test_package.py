@@ -4,6 +4,8 @@ Every name the package exports must resolve, and no fracpot module may import
 a `_`-prefixed (module-private) name from another fracpot module: what one
 module needs from another is public API of that module.  No public name may
 exist only for the tests: each must have a use in fracpot or in perfbench.
+That check matches bare names, so a method name that several classes define
+must be listed in SHARED_METHODS with the production code that reads it.
 """
 
 import ast
@@ -13,6 +15,12 @@ import fracpot
 
 SOURCES = sorted(Path(fracpot.__file__).resolve().parent.glob("*.py"))
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Public method names that more than one fracpot class defines, each mapped to
+# the production code that reads every one of them.  A read of the bare name
+# cannot tell whose method it calls, so a test-only method would hide behind
+# its namesake.
+SHARED_METHODS: dict[str, str] = {}
 
 
 def test_every_exported_name_resolves():
@@ -64,6 +72,25 @@ def public_definitions(module: str, tree):
                     yield f"{module}.{name}", name, node
 
 
+def shared_method_names(trees: dict) -> dict:
+    """name -> the `module.Class` owners of each public method name that more
+    than one class of the module trees ({module: tree}) defines."""
+    owners = {}
+    for module, tree in trees.items():
+        for label, name, _ in public_definitions(module, tree):
+            if label.count(".") == 2:  # module.Class.method
+                owners.setdefault(name, []).append(label.rsplit(".", 1)[0])
+    return {name: sorted(labels) for name, labels in owners.items() if len(labels) > 1}
+
+
+def test_shared_method_names_are_found():
+    tree = ast.parse(
+        "class A:\n    def matvec(self): pass\n"
+        "class B:\n    def matvec(self): pass\n    def cut(self): pass\n"
+    )
+    assert shared_method_names({"m": tree}) == {"matvec": ["m.A", "m.B"]}
+
+
 def reads(tree) -> list:
     """(name, node id) of every name and attribute a tree reads."""
     return [
@@ -77,7 +104,8 @@ def test_every_public_name_has_a_production_use():
     """A public name must be read by fracpot itself (not only re-exported by
     __init__.py) or by the perfbench scripts, or be one of perfbench's traced
     layers; tests do not count.  A name read only inside definitions that are
-    themselves unused counts as unused too."""
+    themselves unused counts as unused too.  A method name that several
+    classes define passes only through an entry of SHARED_METHODS."""
     production = [p for p in SOURCES if p.name != "__init__.py"] + sorted(PERFBENCH.glob("*.py"))
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in production}
     readers = {}  # name -> ids of the nodes that read it
@@ -106,3 +134,8 @@ def test_every_public_name_has_a_production_use():
         dead_reads.update(*newly.values())
     assert definitions
     assert sorted(unused) == []
+    shared = shared_method_names(
+        {path.stem: tree for path, tree in trees.items() if path.parent.name == "fracpot"}
+    )
+    assert sorted(set(shared) - set(SHARED_METHODS)) == []
+    assert sorted(set(SHARED_METHODS) - set(shared)) == []  # no stale entries

@@ -22,7 +22,9 @@ from fracpot.sparselin import (
     SolveFailure,
     SolveReport,
     SpdSystem,
+    csr_matvec,
     prepare_spd,
+    solve_failure,
     solve_spd,
 )
 from conftest import recon_1d_small_t, small_2d
@@ -143,7 +145,8 @@ class TestBitwiseOracle:
         system = prepare_spd(a)
         v = np.random.default_rng(3).standard_normal(system.n)
         out = np.full(system.n, np.nan)
-        np.testing.assert_array_equal(system.matvec(v, out), a @ v)
+        product = csr_matvec(system.indptr, system.indices, system.data, v, out)
+        np.testing.assert_array_equal(product, a @ v)
         np.testing.assert_array_equal(out, a @ v)
 
 
@@ -263,3 +266,22 @@ class TestSolveSpd:
         assert report.iterations == 0 and not report.converged
         assert math.isnan(report.final_residual)
         np.testing.assert_array_equal(x, np.zeros(3) if x0 is None else x0)
+
+
+class TestSolveFailure:
+    """The one error path of an unconverged solve names the caller's context
+    and the cause."""
+
+    def test_nonfinite_rhs(self):
+        with np.errstate(over="ignore"):
+            rhs = np.full(3, 1e200)
+            _, report = solve_spd(prepare_spd(eliminated_laplacian_m4()[0]), rhs)
+            failure = solve_failure("step 2/5", report, rhs)
+        assert isinstance(failure, SolveFailure)
+        assert str(failure) == "step 2/5: the right-hand side has a non-finite norm"
+
+    def test_stall_names_residual_and_target(self):
+        failure = solve_failure("step 2/5", SolveReport(30, 6.947e-12, False), np.ones(3))
+        assert str(failure) == (
+            f"step 2/5: CG stalled at relative residual 6.947e-12 (target {REL_TOL:g})"
+        )

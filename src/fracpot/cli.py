@@ -68,8 +68,8 @@ def _parse_expr(mapping: dict, key: str, where: str) -> FieldExpr:
 
 
 def _real(value, key: str) -> float:
-    """A real config value as a float; a JSON boolean is not a number."""
-    if isinstance(value, bool):
+    """A real config value as a float; a JSON boolean or string is not a number."""
+    if isinstance(value, (bool, str)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     return float(value)
 
@@ -107,15 +107,9 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
         num_steps = _integer(_require(raw, "num_steps", "config"), "num_steps")
         seed = _integer(raw.get("seed", 0), "seed")
         delta = _real(raw.get("delta", 0.0), "delta")
-        if overrides is not None:
-            if getattr(overrides, "alpha", None) is not None:
-                alpha = overrides.alpha
-            if getattr(overrides, "T", None) is not None:
-                T = overrides.T
-            if getattr(overrides, "delta", None) is not None:
-                delta = overrides.delta
-            if getattr(overrides, "seed", None) is not None:
-                seed = overrides.seed
+        given = {k: v for k, v in vars(overrides or argparse.Namespace()).items() if v is not None}
+        alpha, T = given.get("alpha", alpha), given.get("T", T)
+        delta, seed = given.get("delta", delta), given.get("seed", seed)
         mesh = build_mesh(
             (
                 _real(_require(domain, "a", "domain"), "domain.a"),
@@ -300,10 +294,11 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--out", default=".", help="output directory (created if missing)")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--alpha", type=float, default=None, help="override the fractional order")
         cmd.add_argument("--T", type=float, default=None, help="override the final time")
-        cmd.add_argument("--delta", type=float, default=None, help="override the noise level")
+        if name in ("sweep", "history"):  # the subcommands that draw noisy data
+            cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
+            cmd.add_argument("--delta", type=float, default=None, help="override the noise level")
         if name == "invert":
             cmd.add_argument("--data", required=True, help="terminal field dump to invert")
     return parser

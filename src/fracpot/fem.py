@@ -36,13 +36,13 @@ class Mesh:
     elements : (n_elements, 2**dim) corner node indices per cell, ordered
         (0,0), (1,0), (0,1), (1,1) in local x-fastest convention
     boundary_nodes, interior_nodes : sorted index arrays partitioning nodes
-    mass : the mass matrix M
-    interior_block, boundary_block : BlockMaps of the interior x interior and
-        the interior x boundary blocks of the Q1 pattern
+    pattern, mass : the Q1 sparsity pattern and the mass matrix M
+    interior_block, interior_rows : BlockMaps of the interior x interior
+        block and of the interior rows (every column) of the Q1 pattern
 
-    The last three depend on the mesh alone; each is built on first use and
-    kept with the mesh.  M, S and every M_q come from one scatter over the
-    same elements, so they share one Q1 pattern, and the maps cut each of them.
+    The last four depend on the mesh alone; each is built on first use and
+    kept with the mesh.  M, S and every M_q share the pattern's index arrays,
+    which no caller may change in place, and the maps cut each of them.
     """
 
     dim: int
@@ -67,16 +67,32 @@ class Mesh:
         )
 
     @cached_property
+    def pattern(self) -> Pattern:
+        n, e = self.n_nodes, self.elements
+        keys, slot = np.unique((e[:, :, None] * n + e[:, None, :]).ravel(), return_inverse=True)
+        indptr = np.searchsorted(keys, n * np.arange(n + 1)).astype(np.int32)
+        return Pattern(indptr, (keys % n).astype(np.int32), slot.astype(np.int32))
+
+    @cached_property
     def mass(self) -> sp.csr_matrix:
         return mass_matrix(self)
 
     @cached_property
     def interior_block(self) -> BlockMap:
-        return BlockMap.cut(self.mass, self.interior_nodes, self.interior_nodes)
+        return BlockMap.cut(self.pattern, self.interior_nodes, self.interior_nodes)
 
     @cached_property
-    def boundary_block(self) -> BlockMap:
-        return BlockMap.cut(self.mass, self.interior_nodes, self.boundary_nodes)
+    def interior_rows(self) -> BlockMap:
+        return BlockMap.cut(self.pattern, self.interior_nodes, np.arange(self.n_nodes))
+
+
+@dataclass(frozen=True, eq=False)
+class Pattern:
+    """The CSR structure of a mesh's Q1 operators, and where element entries go."""
+
+    indptr: np.ndarray  # int32
+    indices: np.ndarray  # int32 columns, sorted within each row
+    slot: np.ndarray  # int32 position in the data of each (element, i, j) entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +112,8 @@ class BlockMap:
     take: np.ndarray  # int32 positions in the pattern's data, in block order
 
     @classmethod
-    def cut(cls, pattern: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> BlockMap:
-        n = pattern.shape[0]
+    def cut(cls, pattern: Pattern, rows: np.ndarray, cols: np.ndarray) -> BlockMap:
+        n = pattern.indptr.size - 1
         number = np.full(n, -1, dtype=np.int32)  # block column number, -1 outside cols
         number[cols] = np.arange(cols.size, dtype=np.int32)
         in_rows = np.zeros(n, dtype=bool)
@@ -216,12 +232,13 @@ def _reference_arrays(dim: int, h: float):
     return phi, np.stack([dx, dy]), wq, ref_pts
 
 
-def _scatter(local: np.ndarray, elements: np.ndarray, n: int) -> sp.csr_matrix:
-    """Accumulate per-element (ne, nsh, nsh) blocks into a CSR matrix."""
-    nsh = elements.shape[1]
-    rows = np.repeat(elements, nsh, axis=1).ravel()
-    cols = np.tile(elements, (1, nsh)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+def _scatter(local: np.ndarray, mesh: Mesh) -> sp.csr_matrix:
+    """Sum element blocks (ne, nsh, nsh), or one (nsh, nsh) block of all, into the Q1
+    pattern, in element order, as scipy's COO to CSR conversion sums duplicates."""
+    pattern, n = mesh.pattern, mesh.n_nodes
+    local = np.broadcast_to(local, (*mesh.elements.shape, local.shape[-1]))
+    data = np.bincount(pattern.slot, weights=local.ravel(), minlength=pattern.indices.size)
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
 
 def assemble_operators(
@@ -235,15 +252,13 @@ def assemble_operators(
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     """Assemble the mass matrix alone."""
     phi, _, wq, _ = _reference_arrays(mesh.dim, mesh.h)
-    mass_loc = np.einsum("ip,jp,p->ij", phi, phi, wq)
-    return _scatter(np.tile(mass_loc.ravel(), mesh.elements.shape[0]), mesh.elements, mesh.n_nodes)
+    return _scatter(np.einsum("ip,jp,p->ij", phi, phi, wq), mesh)
 
 
 def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
     """Assemble the stiffness matrix alone."""
     _, dphi, wq, _ = _reference_arrays(mesh.dim, mesh.h)
-    stiff_loc = np.einsum("cip,cjp,p->ij", dphi, dphi, wq)
-    return _scatter(np.tile(stiff_loc.ravel(), mesh.elements.shape[0]), mesh.elements, mesh.n_nodes)
+    return _scatter(np.einsum("cip,cjp,p->ij", dphi, dphi, wq), mesh)
 
 
 def weighted_mass_matrix(mesh: Mesh, q: NodalField) -> sp.csr_matrix:
@@ -256,8 +271,7 @@ def weighted_mass_matrix(mesh: Mesh, q: NodalField) -> sp.csr_matrix:
         raise ValueError("potential field is not aligned with the mesh")
     phi, _, wq, _ = _reference_arrays(mesh.dim, mesh.h)
     q_at_gauss = q.values[mesh.elements] @ phi
-    wmass_loc = np.einsum("ep,ip,jp,p->eij", q_at_gauss, phi, phi, wq)
-    return _scatter(wmass_loc, mesh.elements, mesh.n_nodes)
+    return _scatter(np.einsum("ep,ip,jp,p->eij", q_at_gauss, phi, phi, wq), mesh)
 
 
 def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:

@@ -6,15 +6,15 @@ per march and solved by CG at every step, where the right-hand side carries
 the convolution-quadrature history.  Boundary nodes are pinned to the
 interpolated boundary data.
 
-M and the maps that cut the interior blocks out of the Q1 sparsity pattern
-depend on the mesh alone and are kept by the mesh.  Everything else that does
-not depend on the potential (tau^{-alpha} b_0 M + S, M's interior rows, the
-load, nodal f, boundary data, u^0 and the CQ weights) is built once per
-ProblemSpec, on first use, as its `discretization`.  A forward solve assembles
-only M_q, adds its data to that of the potential-independent part and gathers
-the two blocks it needs; every product then runs scipy's CSR kernel on
-preallocated buffers, with no sparse-matrix operator in the march.  A march
-holds exactly (N+1) * n_nodes * 8 bytes of history and no second copy of it.
+The Q1 pattern, M and the maps that cut blocks out of the pattern depend on
+the mesh alone and are kept by the mesh.  Everything else that does not
+depend on the potential (tau^{-alpha} b_0 M + S, M's interior rows, the load,
+nodal f, boundary data, u^0 and the CQ weights) is built once per ProblemSpec,
+on first use, as its `discretization`.  A forward solve scatters only M_q,
+adds its data to that of the potential-independent part and gathers the
+interior block; every product then runs scipy's CSR kernel on preallocated
+buffers, with no sparse-matrix operator in the march.  A march holds exactly
+(N+1) * n_nodes * 8 bytes of history and no second copy of it.
 The terminal derivative dbar^alpha u^N comes from the last step itself: that
 step already forms the history part of the convolution, so
 dbar^alpha u^N = tau^{-alpha} (u^N + past_N) on interior nodes, and it is
@@ -32,7 +32,6 @@ import numpy as np
 
 from .cq import cq_weights
 from .fem import (
-    BlockMap,
     Mesh,
     NodalField,
     assemble_load,
@@ -109,15 +108,13 @@ class ProblemSpec:
         """The potential-independent part of the scheme, built on first use.
 
         It lives in the instance, so `dataclasses.replace` gives a new spec
-        with a setup of its own, which shares the mesh's M and block maps.
+        with a setup of its own, which shares the mesh's pattern, M and maps.
         """
         mesh = self.mesh
         ii, bb = mesh.interior_nodes, mesh.boundary_nodes
         scale = self.tau ** (-self.alpha)
         w = cq_weights(self.alpha, self.num_steps, self.tau).weights
-        mass = mesh.mass
-        # M's interior rows, with every column.
-        rows = BlockMap.cut(mass, ii, np.arange(mesh.n_nodes))
+        mass, rows = mesh.mass, mesh.interior_rows
         boundary = interpolate_nodal(self.b_expr, mesh).values[bb]
         u0 = interpolate_nodal(self.v_expr, mesh).values
         u0[bb] = boundary
@@ -139,7 +136,7 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class Discretization:
     """Operators and data of a ProblemSpec that do not depend on the potential,
-    beyond M and the block maps, which its mesh keeps.
+    beyond the pattern, M and the block maps, which its mesh keeps.
 
     weights_reversed holds b_N, ..., b_1, b_0 in one contiguous array, so the
     history convolution of step n is the BLAS product of its slice
@@ -189,16 +186,17 @@ def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
     # The data of base + M_q, entry by entry as scipy's CSR sum adds them.
     data = setup.base_data + weighted_mass_matrix(mesh, q).data
     system_ii = prepare_spd(mesh.interior_block.matrix(data))
+    history = np.zeros((n_steps + 1, mesh.n_nodes))
+    history[0] = setup.u0
+    history[1:, bb] = setup.boundary_values
+    u0 = history[0]
+    # Until step 1 writes it, history[1] is b on the boundary and 0 inside.
     rhs = np.empty(ii.size)  # holds A_ib b, then each step's right-hand side
-    rhs_base = setup.load_int - mesh.boundary_block.matvec(data, setup.boundary_values, rhs)
+    rhs_base = setup.load_int - mesh.interior_rows.matvec(data, history[1], rhs)
     mass_past = np.empty(ii.size)
     scale, weights_reversed, partial = setup.scale, setup.weights_reversed, setup.partial
     mass_int = setup.mass_int
 
-    history = np.empty((n_steps + 1, mesh.n_nodes))
-    history[0] = setup.u0
-    history[1:, bb] = setup.boundary_values
-    u0 = history[0]
     x = setup.u0[ii]
     # Data that overflow at this time step are reported below, by name.
     with np.errstate(over="ignore"):

@@ -62,8 +62,9 @@ def compute_psi_h(mesh: Mesh, g_delta: NodalField, psi_boundary: np.ndarray) -> 
     """Data-regularized discrete Laplacian of the terminal observation.
 
     Interior values solve the mass system (psi, phi) = -(grad I_h g, grad phi)
-    over interior test functions; boundary values are prescribed.  The mass
-    system and M_ib psi_b are cut from the mesh's M by its block maps.
+    over interior test functions; boundary values are prescribed.  (S g)_i and
+    M_ib psi_b are products with the mesh's interior rows, on g and on psi_b
+    padded with 0 inside; the mass system is cut by its interior block.
     """
     if not g_delta.mesh.matches(mesh):
         raise ValueError("data is not aligned with the mesh")
@@ -71,16 +72,16 @@ def compute_psi_h(mesh: Mesh, g_delta: NodalField, psi_boundary: np.ndarray) -> 
     psi_b = np.asarray(psi_boundary, dtype=float)
     if psi_b.shape != bb.shape:
         raise ValueError("psi_boundary must carry one value per boundary node")
-    mass = mesh.mass.data
+    mass, rows = mesh.mass.data, mesh.interior_rows
+    full = np.zeros(mesh.n_nodes)
+    full[bb] = psi_b
     with np.errstate(over="ignore"):
-        mass_ib_psi_b = mesh.boundary_block.matvec(mass, psi_b, np.empty(ii.size))
-        rhs = -(stiffness_matrix(mesh) @ g_delta.values)[ii] - mass_ib_psi_b
+        rhs = -rows.matvec(stiffness_matrix(mesh).data, g_delta.values, np.empty(ii.size))
+        rhs -= rows.matvec(mass, full, np.empty(ii.size))
         interior, report = solve_spd(prepare_spd(mesh.interior_block.matrix(mass)), rhs)
         if not report.converged:
             raise solve_failure("mass solve for the data Laplacian", report, rhs)
-    full = np.empty(mesh.n_nodes)
     full[ii] = interior
-    full[bb] = psi_b
     return NodalField(full, mesh)
 
 

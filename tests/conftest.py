@@ -7,11 +7,16 @@ assemble meshes or run short solves, whose first call can be slow).
 The benchmark problems come from the example configs, which are their one
 definition: the 1D problem on (0, 10) from configs/sweep_smooth.json and the
 2D problem on (0, 3)^2 from configs/sweep_2d.json.
+
+`coo_scatter` is the Q1 scatter as fem ran it before the mesh kept its
+pattern, scipy's COO to CSR conversion; it is the oracle of fem's scatter.
 """
 
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+import scipy.sparse as sp
 from hypothesis import settings
 
 from fracpot.cli import load_config
@@ -67,3 +72,11 @@ def small_2d():
     """The 2D benchmark problem on 12^2 cells x 8 steps, with its true potential."""
     spec = benchmark_problem_2d(cells=12, num_steps=8)
     return spec, interpolate_nodal(SMOOTH_POTENTIAL_2D, spec.mesh)
+
+
+def coo_scatter(local, elements, n):
+    """Accumulate per-element (ne, nsh, nsh) blocks into a CSR matrix."""
+    nsh = elements.shape[1]
+    rows = np.repeat(elements, nsh, axis=1).ravel()
+    cols = np.tile(elements, (1, nsh)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()

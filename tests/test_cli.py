@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fracpot.cli import load_config, main
+from fracpot.cli import _build_parser, load_config, main
 from fracpot.experiments import make_observation, read_field_csv, relative_error, write_field_csv
 from fracpot.fem import interpolate_nodal
 from fracpot.forward import solve_forward
@@ -301,6 +301,9 @@ class TestConfigErrors:
             ("history", "num_steps", True),
             ("history", "seed", True),
             ("history", "alpha", True),
+            ("forward", "alpha", "0.5"),
+            ("forward", "T", "1"),
+            ("forward", "domain", {"cells": "100"}),
         ],
     )
     def test_out_of_range_value_exits_2_without_traceback(
@@ -312,6 +315,27 @@ class TestConfigErrors:
         assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["forward", "invert"])
+    @pytest.mark.parametrize("flag", ["--seed", "--delta"])
+    def test_noise_flags_are_usage_errors_where_nothing_draws_noise(
+        self, tmp_path, capsys, command, flag
+    ):
+        config = write_config(tmp_path)
+        args = [command, "--config", str(config), "--out", str(tmp_path), flag, "3"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + (["--data", str(tmp_path / "g.csv")] if command == "invert" else []))
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "history"])
+    def test_noise_flags_reach_the_config_where_noise_is_drawn(self, tmp_path, command):
+        config = write_config(tmp_path, delta=1e-3, seed=0)
+        args = _build_parser().parse_args(
+            [command, "--config", str(config), "--seed", "7", "--delta", "2e-3"]
+        )
+        cfg = load_config(config, overrides=args)
+        assert (cfg.spec.seed, cfg.delta) == (7, 2e-3)
 
     @pytest.mark.parametrize("T, code", [(1e-320, 2), (5e-324, 2), (1e-300, 3)])
     def test_tiny_final_time_ends_in_an_exit_code(self, tmp_path, capsys, T, code):

@@ -5,12 +5,16 @@ the 1D mass stencil (h/6)[1, 4, 1], the 1D stiffness stencil
 (1/h)[-1, 2, -1], and the 2D Q1 stiffness stencil 8/3 with -1/3 on all
 eight neighbours (h-independent in 2D).  The Poisson fixture reuses the
 dual-route value from test_sparselin through the assembly path.
+
+The scatter oracle is scipy's COO to CSR conversion (conftest.coo_scatter) of
+the very element blocks that each assembly hands to the scatter.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fracpot import fem
 from fracpot.fem import (
     Mesh,
     NodalField,
@@ -20,7 +24,10 @@ from fracpot.fem import (
     interpolate_nodal,
     mass_matrix,
     mass_norm,
+    stiffness_matrix,
+    weighted_mass_matrix,
 )
+from conftest import coo_scatter
 
 POISSON_M4_SOLUTION = np.array([0.09375, 0.125, 0.09375])
 
@@ -169,6 +176,48 @@ class TestAssembly2D:
         mesh = build_mesh((0.0, 1.0), 6, dim=2)
         load = assemble_load(mesh, lambda x, y: x * y)
         assert load.sum() == pytest.approx(0.25, abs=1e-13)
+
+
+SCATTER_MESHES = pytest.mark.parametrize(
+    "dim, cells", [(1, 50), (1, 300), (2, 12), (2, 90)], ids=["1d_50", "1d_300", "2d_12", "2d_90"]
+)
+
+
+class TestScatterOracle:
+    @SCATTER_MESHES
+    def test_operators_equal_the_coo_path(self, monkeypatch, dim, cells):
+        mesh = build_mesh((0.0, 1.0), cells, dim)
+        q = NodalField(np.random.default_rng(cells).uniform(0.0, 5.0, mesh.n_nodes), mesh)
+        scatter, blocks = fem._scatter, []
+
+        def recording(local, mesh):
+            nsh = mesh.elements.shape[1]
+            blocks.append(np.broadcast_to(local, (*mesh.elements.shape, nsh)))
+            return scatter(local, mesh)
+
+        monkeypatch.setattr(fem, "_scatter", recording)
+        pattern = mesh.pattern
+        operators = [mass_matrix(mesh), stiffness_matrix(mesh), weighted_mass_matrix(mesh, q)]
+        assert len(blocks) == len(operators)
+        for operator, local in zip(operators, blocks):
+            reference = coo_scatter(local, mesh.elements, mesh.n_nodes)
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(operator, name), getattr(reference, name))
+            # The operators hold the pattern's own index arrays, not copies.
+            assert operator.indptr is pattern.indptr
+            assert np.shares_memory(operator.indices, pattern.indices)
+
+    @SCATTER_MESHES
+    def test_block_maps_cut_the_blocks_scipy_indexes(self, dim, cells):
+        mesh = build_mesh((0.0, 1.0), cells, dim)
+        ii = mesh.interior_nodes
+        stiff = stiffness_matrix(mesh)
+        blocks = [(mesh.interior_block, stiff[np.ix_(ii, ii)]), (mesh.interior_rows, stiff[ii])]
+        for block_map, expected in blocks:
+            cut = block_map.matrix(stiff.data)
+            assert cut.shape == expected.shape
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(cut, name), getattr(expected, name))
 
 
 class TestNormsAndBoundary:

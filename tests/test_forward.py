@@ -39,6 +39,7 @@ from conftest import (
     SMOOTH_POTENTIAL_2D,
     benchmark_problem_1d,
     benchmark_problem_2d,
+    coo_scatter,
     recon_1d_small_t,
     small_2d,
 )
@@ -261,8 +262,10 @@ class TestSetupLifetime:
         changed = dataclasses.replace(spec, f_expr=lambda x: 4.0 - x)
         solve_forward(changed, q)
         assert changed.discretization is not spec.discretization
+        assert changed.mesh.pattern is spec.mesh.pattern
         assert changed.mesh.mass is spec.mesh.mass
         assert changed.mesh.interior_block is spec.mesh.interior_block
+        assert changed.mesh.interior_rows is spec.mesh.interior_rows
         assert len(calls) == 1
 
     def test_one_march_prepares_one_system(self, monkeypatch):
@@ -322,11 +325,14 @@ SPARSE_TYPES = [
     cls for name in dir(sp)
     if name.endswith(("_matrix", "_array")) and isinstance(cls := getattr(sp, name), type)
 ]
-SPARSE_OPERATORS = ("__getitem__", "__matmul__", "__add__", "__sub__", "__mul__", "__rmul__")
+SPARSE_OPERATORS = (
+    "__getitem__", "__matmul__", "__add__", "__sub__", "__mul__", "__rmul__", "tocsr"
+)
 
 
 def sparse_calls(monkeypatch, march, spec, q):
-    """Calls of scipy.sparse operators made by one march of a set-up spec."""
+    """Calls of scipy.sparse operators made by one march of a set-up spec,
+    with each construction of a COO matrix or array counted as "coo"."""
     spec.discretization  # the once-per-spec setup is not counted
     originals = {
         (cls, op): getattr(cls, op)
@@ -334,21 +340,22 @@ def sparse_calls(monkeypatch, march, spec, q):
         for op in SPARSE_OPERATORS
         if hasattr(cls, op)
     }
+    originals.update({(cls, "coo"): cls.__init__ for cls in (sp.coo_matrix, sp.coo_array)})
     counts = Counter()
     for (cls, op), original in originals.items():
-        def counting(self, *args, _op=op, _original=original):
+        def counting(self, *args, _op=op, _original=original, **kwargs):
             counts[_op] += 1
-            return _original(self, *args)
+            return _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, op, counting)
+        monkeypatch.setattr(cls, "__init__" if op == "coo" else op, counting)
     march(spec, q)
     monkeypatch.undo()
     return counts
 
 
 class TestSparseFreeMarch:
-    """No sparse indexing, and no sparse operator whose count grows with the
-    number of steps, may come back into the march."""
+    """No sparse indexing, no COO assembly, and no sparse operator whose count
+    grows with the number of steps, may come back into the march."""
 
     @MARCH_PROBLEMS
     def test_calls_do_not_grow_with_the_steps(self, monkeypatch, problem):
@@ -359,6 +366,21 @@ class TestSparseFreeMarch:
         )
         assert short == long
         assert short["__getitem__"] == 0
+
+    @MARCH_PROBLEMS
+    def test_builds_no_coo_matrix(self, monkeypatch, problem):
+        spec, q = problem()
+        counts = sparse_calls(monkeypatch, solve_forward, spec, q)
+        assert counts["coo"] == counts["tocsr"] == 0
+
+    def test_the_count_sees_a_coo_assembly(self, monkeypatch):
+        spec, q = small_2d()
+        mesh = spec.mesh
+        local = np.ones((*mesh.elements.shape, mesh.elements.shape[1]))
+        counts = sparse_calls(
+            monkeypatch, lambda *_: coo_scatter(local, mesh.elements, mesh.n_nodes), spec, q
+        )
+        assert counts["coo"] == counts["tocsr"] == 1
 
     def test_the_count_sees_the_reference_march_grow(self, monkeypatch):
         spec, q = small_2d()

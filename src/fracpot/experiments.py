@@ -76,12 +76,11 @@ def relative_error(q_star: NodalField, q_true, mesh: Mesh) -> float:
     """Relative FE L2 error of a reconstruction against the true potential."""
     if not q_star.mesh.matches(mesh):
         raise ValueError("reconstruction is not aligned with the mesh")
-    mass = mesh.mass
     truth = interpolate_nodal(q_true, mesh).values
-    denom = mass_norm(truth, mass)
+    denom = mass_norm(truth, mesh)
     if denom == 0.0:
         raise ValueError("true potential has zero norm")
-    return mass_norm(q_star.values - truth, mass) / denom
+    return mass_norm(q_star.values - truth, mesh) / denom
 
 
 @dataclass(frozen=True)

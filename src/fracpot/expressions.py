@@ -239,6 +239,8 @@ class FieldExpr:
         with np.errstate(all="ignore"):
             out = np.asarray(_eval(self.root, env), dtype=float)
         out = np.array(np.broadcast_to(out, x.shape))
+        if not np.isfinite(out).all():
+            raise ExprError(f"{self.source!r} evaluates to a non-finite value", 0)
         return float(out) if out.ndim == 0 else out
 
     def __str__(self) -> str:

@@ -13,9 +13,13 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
+# The kernel that `csr @ vector` runs after scipy's operator dispatch (in scipy
+# 1.17, `_cs_matrix._matmul_vector` is np.zeros plus this call).  Calling it
+# directly gives bitwise-identical products without the dispatch, which costs
+# more than the product itself on the small systems of a short march.
+from scipy.sparse import _sparsetools
 
-from .sparselin import csr_matvec
+_CSR_MATVEC = _sparsetools.csr_matvec
 
 # 2-point Gauss rule on the reference interval [0, 1], exact for cubics.
 _GAUSS_PTS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -36,13 +40,14 @@ class Mesh:
     elements : (n_elements, 2**dim) corner node indices per cell, ordered
         (0,0), (1,0), (0,1), (1,1) in local x-fastest convention
     boundary_nodes, interior_nodes : sorted index arrays partitioning nodes
-    pattern, mass : the Q1 sparsity pattern and the mass matrix M
+    pattern, mass : the Q1 sparsity pattern and the data of the mass matrix M
     interior_block, interior_rows : BlockMaps of the interior x interior
         block and of the interior rows (every column) of the Q1 pattern
 
     The last four depend on the mesh alone; each is built on first use and
-    kept with the mesh.  M, S and every M_q share the pattern's index arrays,
-    which no caller may change in place, and the maps cut each of them.
+    kept with the mesh.  An operator of the mesh (M, S, every M_q) is its data
+    array in the pattern, and the maps cut each of them.  The arrays of the
+    pattern, of the maps and of M are shared, so they are read-only.
     """
 
     dim: int
@@ -71,11 +76,11 @@ class Mesh:
         n, e = self.n_nodes, self.elements
         keys, slot = np.unique((e[:, :, None] * n + e[:, None, :]).ravel(), return_inverse=True)
         indptr = np.searchsorted(keys, n * np.arange(n + 1)).astype(np.int32)
-        return Pattern(indptr, (keys % n).astype(np.int32), slot.astype(np.int32))
+        return Pattern(*_read_only(indptr, (keys % n).astype(np.int32), slot.astype(np.int32)))
 
     @cached_property
-    def mass(self) -> sp.csr_matrix:
-        return mass_matrix(self)
+    def mass(self) -> np.ndarray:
+        return _read_only(mass_matrix(self))[0]
 
     @cached_property
     def interior_block(self) -> BlockMap:
@@ -101,12 +106,11 @@ class BlockMap:
     pattern, and the positions in the pattern's data its entries come from.
 
     rows and cols are sorted node lists, so for a matrix `a` of the pattern
-    with data `data`, `matrix(data)` holds the same arrays as scipy's
-    fancy-indexed block `a[rows][:, cols]`, and `matvec` computes its product
-    bit for bit.
+    with data `data`, (indptr, indices, data[take]) are the CSR arrays of
+    scipy's fancy-indexed block `a[rows][:, cols]`, and `matvec` computes its
+    product bit for bit.
     """
 
-    shape: tuple[int, int]
     indptr: np.ndarray  # int32
     indices: np.ndarray  # int32 block column numbers
     take: np.ndarray  # int32 positions in the pattern's data, in block order
@@ -124,15 +128,30 @@ class BlockMap:
         indptr = np.zeros(rows.size + 1, dtype=np.int32)
         indptr[1:] = np.cumsum(keep, dtype=np.int32)[pattern.indptr[rows + 1] - 1]
         take = np.flatnonzero(keep).astype(np.int32)
-        return cls((rows.size, cols.size), indptr, number[pattern.indices[take]], take)
-
-    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        """The block of the pattern's matrix with data `data`."""
-        return sp.csr_matrix((data[self.take], self.indices, self.indptr), shape=self.shape)
+        return cls(*_read_only(indptr, number[pattern.indices[take]], take))
 
     def matvec(self, data: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = (the block of the matrix with data `data`) v."""
         return csr_matvec(self.indptr, self.indices, data[self.take], v, out)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, write-protected: the operators and maps of a mesh share them."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def csr_matvec(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, v: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """out = A v for the CSR arrays of A (len(out) rows, len(v) columns).
+
+    Bitwise the product `csr @ v`: the same kernel on a zeroed output.
+    """
+    out.fill(0.0)
+    _CSR_MATVEC(len(out), len(v), indptr, indices, data, v, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -232,37 +251,35 @@ def _reference_arrays(dim: int, h: float):
     return phi, np.stack([dx, dy]), wq, ref_pts
 
 
-def _scatter(local: np.ndarray, mesh: Mesh) -> sp.csr_matrix:
-    """Sum element blocks (ne, nsh, nsh), or one (nsh, nsh) block of all, into the Q1
-    pattern, in element order, as scipy's COO to CSR conversion sums duplicates."""
-    pattern, n = mesh.pattern, mesh.n_nodes
+def _scatter(local: np.ndarray, mesh: Mesh) -> np.ndarray:
+    """Sum element blocks (ne, nsh, nsh), or one (nsh, nsh) block of all, into the
+    data of the Q1 pattern, in element order, as scipy's COO to CSR conversion
+    sums duplicates."""
+    pattern = mesh.pattern
     local = np.broadcast_to(local, (*mesh.elements.shape, local.shape[-1]))
-    data = np.bincount(pattern.slot, weights=local.ravel(), minlength=pattern.indices.size)
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
+    return np.bincount(pattern.slot, weights=local.ravel(), minlength=pattern.indices.size)
 
 
-def assemble_operators(
-    mesh: Mesh, q: NodalField
-) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """Assemble the mass, stiffness and q-weighted mass matrices."""
+def assemble_operators(mesh: Mesh, q: NodalField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Assemble the data of the mass, stiffness and q-weighted mass matrices."""
     wmass = weighted_mass_matrix(mesh, q)
     return mass_matrix(mesh), stiffness_matrix(mesh), wmass
 
 
-def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """Assemble the mass matrix alone."""
+def mass_matrix(mesh: Mesh) -> np.ndarray:
+    """Assemble the data of the mass matrix alone."""
     phi, _, wq, _ = _reference_arrays(mesh.dim, mesh.h)
     return _scatter(np.einsum("ip,jp,p->ij", phi, phi, wq), mesh)
 
 
-def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """Assemble the stiffness matrix alone."""
+def stiffness_matrix(mesh: Mesh) -> np.ndarray:
+    """Assemble the data of the stiffness matrix alone."""
     _, dphi, wq, _ = _reference_arrays(mesh.dim, mesh.h)
     return _scatter(np.einsum("cip,cjp,p->ij", dphi, dphi, wq), mesh)
 
 
-def weighted_mass_matrix(mesh: Mesh, q: NodalField) -> sp.csr_matrix:
-    """Assemble the q-weighted mass matrix (q u, phi_i).
+def weighted_mass_matrix(mesh: Mesh, q: NodalField) -> np.ndarray:
+    """Assemble the data of the q-weighted mass matrix (q u, phi_i).
 
     The potential enters through its nodal interpolant, so the weighted mass
     integrand is polynomial on every cell and the Gauss rule is exact.
@@ -286,6 +303,8 @@ def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
     return np.bincount(mesh.elements.ravel(), weights=local.ravel(), minlength=mesh.n_nodes)
 
 
-def mass_norm(values: np.ndarray, mass: sp.csr_matrix) -> float:
-    """FE L2 norm sqrt(v^T M v) of nodal values against an assembled mass matrix."""
-    return float(np.sqrt(max(values @ (mass @ values), 0.0)))
+def mass_norm(values: np.ndarray, mesh: Mesh) -> float:
+    """FE L2 norm sqrt(v^T M v) of nodal values, with the mesh's mass matrix M."""
+    pattern = mesh.pattern
+    product = csr_matvec(pattern.indptr, pattern.indices, mesh.mass, values, np.empty(values.size))
+    return float(np.sqrt(max(values @ product, 0.0)))

@@ -35,11 +35,12 @@ from .fem import (
     Mesh,
     NodalField,
     assemble_load,
+    csr_matvec,
     interpolate_nodal,
     stiffness_matrix,
     weighted_mass_matrix,
 )
-from .sparselin import csr_matvec, prepare_spd, solve_failure, solve_spd
+from .sparselin import prepare_spd, solve_failure, solve_spd
 
 _BOUND_SLACK = 1e-9
 
@@ -124,8 +125,8 @@ class ProblemSpec:
             partial=np.cumsum(w),
             # (s M) + S entry by entry, as scipy adds them, except that an
             # entry that cancels to exactly 0 stays in the pattern.
-            base_data=(scale * w[0]) * mass.data + stiffness_matrix(mesh).data,
-            mass_int=(rows.indptr, rows.indices, mass.data[rows.take]),
+            base_data=(scale * w[0]) * mass + stiffness_matrix(mesh),
+            mass_int=(rows.indptr, rows.indices, mass[rows.take]),
             load_int=assemble_load(mesh, self.f_expr)[ii],
             f_nodes=interpolate_nodal(self.f_expr, mesh).values,
             boundary_values=boundary,
@@ -182,10 +183,10 @@ def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
     setup = spec.discretization
     mesh = spec.mesh
     n_steps = spec.num_steps
-    ii, bb = mesh.interior_nodes, mesh.boundary_nodes
+    ii, bb, block = mesh.interior_nodes, mesh.boundary_nodes, mesh.interior_block
     # The data of base + M_q, entry by entry as scipy's CSR sum adds them.
-    data = setup.base_data + weighted_mass_matrix(mesh, q).data
-    system_ii = prepare_spd(mesh.interior_block.matrix(data))
+    data = setup.base_data + weighted_mass_matrix(mesh, q)
+    system_ii = prepare_spd(block.indptr, block.indices, data[block.take])
     history = np.zeros((n_steps + 1, mesh.n_nodes))
     history[0] = setup.u0
     history[1:, bb] = setup.boundary_values

@@ -72,13 +72,13 @@ def compute_psi_h(mesh: Mesh, g_delta: NodalField, psi_boundary: np.ndarray) -> 
     psi_b = np.asarray(psi_boundary, dtype=float)
     if psi_b.shape != bb.shape:
         raise ValueError("psi_boundary must carry one value per boundary node")
-    mass, rows = mesh.mass.data, mesh.interior_rows
+    mass, rows, block = mesh.mass, mesh.interior_rows, mesh.interior_block
     full = np.zeros(mesh.n_nodes)
     full[bb] = psi_b
     with np.errstate(over="ignore"):
-        rhs = -rows.matvec(stiffness_matrix(mesh).data, g_delta.values, np.empty(ii.size))
+        rhs = -rows.matvec(stiffness_matrix(mesh), g_delta.values, np.empty(ii.size))
         rhs -= rows.matvec(mass, full, np.empty(ii.size))
-        interior, report = solve_spd(prepare_spd(mesh.interior_block.matrix(mass)), rhs)
+        interior, report = solve_spd(prepare_spd(block.indptr, block.indices, mass[block.take]), rhs)
         if not report.converged:
             raise solve_failure("mass solve for the data Laplacian", report, rhs)
     full[ii] = interior
@@ -129,13 +129,13 @@ def reconstruct(
     if not obs.g_delta.mesh.matches(mesh):
         raise ValueError("observation is not aligned with the problem mesh")
     psi_h = compute_psi_h(mesh, obs.g_delta, obs.psi_boundary)
-    f_nodes, mass = spec.discretization.f_nodes, mesh.mass
+    f_nodes = spec.discretization.f_nodes
     if q0 is None:
         q_vals = fixed_point_update(f_nodes, 0.0, psi_h.values, obs.g_delta.values, spec.M1)
     else:
         q_vals = np.clip(interpolate_nodal(q0, mesh).values, 0.0, spec.M1)
     truth = interpolate_nodal(q_true, mesh).values if q_true is not None else None
-    errors = [mass_norm(q_vals - truth, mass)] if truth is not None else None
+    errors = [mass_norm(q_vals - truth, mesh)] if truth is not None else None
 
     increments = []
     converged = False
@@ -148,7 +148,7 @@ def reconstruct(
             obs.g_delta.values,
             spec.M1,
         )
-        increment = mass_norm(q_next - q_vals, mass)
+        increment = mass_norm(q_next - q_vals, mesh)
         increments.append(increment)
         if logger.isEnabledFor(logging.DEBUG):
             uphill = float(np.mean(q_next > q_vals + mesh.h))
@@ -157,7 +157,7 @@ def reconstruct(
             )
         q_vals = q_next
         if truth is not None:
-            errors.append(mass_norm(q_vals - truth, mass))
+            errors.append(mass_norm(q_vals - truth, mesh))
         if increment <= spec.fp_tol:
             converged = True
             break

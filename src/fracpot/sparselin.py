@@ -1,9 +1,9 @@
 """Sparse SPD kernel: a Jacobi-preconditioned conjugate gradient solver.
 
-A system matrix is prepared once (`prepare_spd`) and then solved for one
-right-hand side per call (`solve_spd`), so the checks, the CSR arrays and the
-inverse diagonal are not rebuilt at every time step.  `csr_matvec` is the one
-entry point to scipy's CSR product kernel, for this module and its callers.
+A system matrix is prepared once from its CSR arrays (`prepare_spd`) and then
+solved for one right-hand side per call (`solve_spd`), so the checks and the
+inverse diagonal are not rebuilt at every time step.  Every product runs
+`fem.csr_matvec`, the one entry point to scipy's CSR product kernel.
 """
 
 from __future__ import annotations
@@ -12,14 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-# The kernel that `csr @ vector` runs after scipy's operator dispatch (in scipy
-# 1.17, `_cs_matrix._matmul_vector` is np.zeros plus this call).  Calling it
-# directly gives bitwise-identical products without the dispatch, which costs
-# more than the product itself on the small systems of a short march.
-from scipy.sparse import _sparsetools
 
-_CSR_MATVEC = _sparsetools.csr_matvec
+from .fem import csr_matvec
+
 REL_TOL = 1e-12  # the one target of every solve in the pipeline
 
 
@@ -38,23 +33,10 @@ class SolveFailure(RuntimeError):
 class SpdSystem:
     """A checked SPD matrix in CSR form, with its inverse diagonal."""
 
-    n: int
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     inv_diag: np.ndarray
-
-
-def csr_matvec(
-    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, v: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """out = A v for the CSR arrays of A (len(out) rows, len(v) columns).
-
-    Bitwise the product `csr @ v`: the same kernel on a zeroed output.
-    """
-    out.fill(0.0)
-    _CSR_MATVEC(len(out), len(v), indptr, indices, data, v, out)
-    return out
 
 
 def solve_failure(context: str, report: SolveReport, rhs: np.ndarray) -> SolveFailure:
@@ -65,23 +47,20 @@ def solve_failure(context: str, report: SolveReport, rhs: np.ndarray) -> SolveFa
     return SolveFailure(f"{context}: {stall}")
 
 
-def prepare_spd(a: sp.spmatrix) -> SpdSystem:
-    """Check a symmetric positive definite matrix once and keep what CG needs.
-
-    Raises ValueError for a non-square matrix or a non-positive diagonal
-    entry, and SolveFailure for a non-finite entry.
-    """
-    a = sp.csr_matrix(a)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    data = np.array(a.data, dtype=float)
+def prepare_spd(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> SpdSystem:
+    """Check the CSR arrays of a square SPD matrix once; keep them, not copies, and
+    the inverse diagonal.  A diagonal entry sums its row's entries in its column,
+    0 if none, as scipy's `diagonal()` does.  Raises SolveFailure for a non-finite
+    entry and ValueError for a non-positive diagonal entry."""
     if not np.isfinite(data).all():
         raise SolveFailure("system matrix has a non-finite entry")
-    diag = a.diagonal()
+    n = indptr.size - 1
+    rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    on = np.flatnonzero(indices == rows)  # the diagonal entries, in row order
+    diag = np.bincount(indices[on], weights=data[on], minlength=n)
     if np.any(diag <= 0.0):
         raise ValueError("matrix has a non-positive diagonal entry; not SPD")
-    return SpdSystem(n, a.indptr.copy(), a.indices.copy(), data, 1.0 / diag)
+    return SpdSystem(indptr, indices, data, 1.0 / diag)
 
 
 def solve_spd(
@@ -106,7 +85,7 @@ def solve_spd(
     the BLAS product that `v @ w` runs on vectors, without the ufunc dispatch.
     """
     rhs = np.asarray(rhs, dtype=float)
-    n = system.n
+    n = system.inv_diag.size
     if rhs.shape != (n,):
         raise ValueError(f"dimension mismatch: matrix is {(n, n)}, rhs has shape {rhs.shape}")
     xr = np.zeros((2, n))  # [x, -r]

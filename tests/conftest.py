@@ -10,6 +10,8 @@ definition: the 1D problem on (0, 10) from configs/sweep_smooth.json and the
 
 `coo_scatter` is the Q1 scatter as fem ran it before the mesh kept its
 pattern, scipy's COO to CSR conversion; it is the oracle of fem's scatter.
+`csr` rebuilds the scipy matrix of an operator, which fem keeps as its data
+in the mesh's pattern, for the oracles that index or multiply with scipy.
 """
 
 from dataclasses import replace
@@ -72,6 +74,12 @@ def small_2d():
     """The 2D benchmark problem on 12^2 cells x 8 steps, with its true potential."""
     spec = benchmark_problem_2d(cells=12, num_steps=8)
     return spec, interpolate_nodal(SMOOTH_POTENTIAL_2D, spec.mesh)
+
+
+def csr(mesh, data):
+    """The scipy CSR matrix with data `data` in the mesh's Q1 pattern (copies)."""
+    pattern, n = mesh.pattern, mesh.n_nodes
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n), copy=True)
 
 
 def coo_scatter(local, elements, n):

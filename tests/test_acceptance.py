@@ -20,7 +20,7 @@ import pytest
 from fracpot.cq import cq_weights
 from fracpot.experiments import make_observation, rate_sweep, relative_error
 from fracpot.expressions import parse_field_expr
-from fracpot.fem import NodalField, build_mesh, interpolate_nodal, mass_matrix, mass_norm
+from fracpot.fem import NodalField, build_mesh, interpolate_nodal, mass_norm
 from fracpot.forward import restrict_to_mesh, solve_forward
 from fracpot.inverse import compute_psi_h, reconstruct
 from conftest import (
@@ -124,7 +124,7 @@ def test_06_forward_solver_self_convergence_orders():
         errs, taus = [], []
         for N in (25, 50, 100):
             sol = solve_forward(replace(base, num_steps=N), q).terminal
-            errs.append(mass_norm(sol.values - ref.values, mass_matrix(base.mesh)))
+            errs.append(mass_norm(sol.values - ref.values, base.mesh))
             taus.append(1.0 / N)
         temporal = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
         assert 0.85 <= temporal <= 1.15, f"alpha={alpha}: temporal order {temporal:.3f}"
@@ -136,7 +136,7 @@ def test_06_forward_solver_self_convergence_orders():
             spec = benchmark_problem_1d(alpha=alpha, cells=M, num_steps=400)
             sol = solve_forward(spec, interpolate_nodal(SMOOTH_POTENTIAL, spec.mesh)).terminal
             coarse_ref = restrict_to_mesh(ref_sp, spec.mesh)
-            errs_h.append(mass_norm(sol.values - coarse_ref.values, mass_matrix(spec.mesh)))
+            errs_h.append(mass_norm(sol.values - coarse_ref.values, spec.mesh))
             hs.append(10.0 / M)
         spatial = float(np.polyfit(np.log(hs), np.log(errs_h), 1)[0])
         assert 1.8 <= spatial <= 2.2, f"alpha={alpha}: spatial order {spatial:.3f}"
@@ -168,7 +168,7 @@ def test_08_data_laplacian_error_trends():
         mesh = build_mesh((0.0, 10.0), M)
         psi = compute_psi_h(mesh, interpolate_nodal(smooth, mesh), np.zeros(2))
         target = interpolate_nodal(laplacian, mesh)
-        errs.append(mass_norm(psi.values - target.values, mass_matrix(mesh)))
+        errs.append(mass_norm(psi.values - target.values, mesh))
         hs.append(10.0 / M)
     order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     assert order >= 0.8, f"h-order {order:.3f} < 0.8"
@@ -183,7 +183,7 @@ def test_08_data_laplacian_error_trends():
         values = clean.values.copy()
         values[mesh.interior_nodes] += delta * rng.standard_normal(mesh.interior_nodes.size)
         psi = compute_psi_h(mesh, NodalField(values, mesh), np.zeros(2))
-        noise_errs.append(mass_norm(psi.values - target.values, mass_matrix(mesh)))
+        noise_errs.append(mass_norm(psi.values - target.values, mesh))
     slope = float(np.polyfit(np.log(deltas), np.log(noise_errs), 1)[0])
     assert 0.7 <= slope <= 1.3, f"delta-slope {slope:.3f} outside [0.7, 1.3]"
 

@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from fracpot.cli import _build_parser, load_config, main
 from fracpot.experiments import make_observation, read_field_csv, relative_error, write_field_csv
-from fracpot.fem import interpolate_nodal
+from fracpot.fem import build_mesh, interpolate_nodal
 from fracpot.forward import solve_forward
 from conftest import (
     INDICATOR_POTENTIAL,
@@ -248,6 +248,29 @@ class TestConfigErrors:
         assert main(["forward", "--config", str(config), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "bad expression" in err and "fields.f" in err
+
+    @pytest.mark.parametrize(
+        "field, command",
+        [(field, command) for field in ("f", "q_true")
+         for command in ("forward", "invert", "sweep", "history")]
+        + [("q_boundary", "invert")],
+    )
+    def test_non_finite_field_exits_2_without_traceback(self, tmp_path, capsys, field, command):
+        # 1/x is infinite at the node x = 0 of a mesh on (0, 1).
+        fields = {"v": "1", "b": "1", "f": "10", "q_true": "3", field: "1/x"}
+        config = write_config(
+            tmp_path, fields=fields, domain={"a": 0.0, "b": 1.0, "cells": 10}, num_steps=5,
+            deltas=[1e-2, 1e-3], alphas=[0.5], fine_factor=1, fine_step_factor=1,
+        )
+        args = [command, "--config", str(config), "--out", str(tmp_path)]
+        if command == "invert":
+            data = tmp_path / "g.csv"
+            write_field_csv(data, interpolate_nodal(lambda x: 1.0, build_mesh((0.0, 1.0), 10)))
+            args += ["--data", str(data)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: '1/x' evaluates to a non-finite value" in err
+        assert "Traceback" not in err
 
     def test_inconsistent_problem_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, alpha=1.5)

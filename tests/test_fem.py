@@ -7,8 +7,12 @@ eight neighbours (h-independent in 2D).  The Poisson fixture reuses the
 dual-route value from test_sparselin through the assembly path.
 
 The scatter oracle is scipy's COO to CSR conversion (conftest.coo_scatter) of
-the very element blocks that each assembly hands to the scatter.
+the very element blocks that each assembly hands to the scatter.  Assembly
+returns an operator's data in the mesh's pattern; conftest.csr rebuilds the
+scipy matrix where a test reads rows or indexes blocks.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -27,15 +31,17 @@ from fracpot.fem import (
     stiffness_matrix,
     weighted_mass_matrix,
 )
-from conftest import coo_scatter
+from conftest import coo_scatter, csr
 
 POISSON_M4_SOLUTION = np.array([0.09375, 0.125, 0.09375])
 
 
-def eliminate_boundary(matrix, rhs, lift):
-    """Dense interior system (A_ii, r_i - A_ib x_b) for prescribed boundary values."""
+def eliminate_boundary(data, rhs, lift):
+    """Dense interior system (A_ii, r_i - A_ib x_b) for prescribed boundary values,
+    where A has data `data` in the mesh's pattern."""
     mesh = lift.mesh
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
+    matrix = csr(mesh, data)
     return matrix[np.ix_(ii, ii)].toarray(), rhs[ii] - matrix[np.ix_(ii, bb)] @ lift.values[bb]
 
 
@@ -115,19 +121,20 @@ class TestAssembly1D:
     def test_mass_stencil(self):
         mesh = build_mesh((0.0, 1.0), 4)
         h = 0.25
-        row = mass_matrix(mesh).toarray()[2]
+        row = csr(mesh, mass_matrix(mesh)).toarray()[2]
         np.testing.assert_allclose(row, [0, h / 6, 4 * h / 6, h / 6, 0], atol=1e-15)
 
     def test_stiffness_stencil(self):
         mesh = build_mesh((0.0, 1.0), 4)
         h = 0.25
         _, stiff, _ = assemble_operators(mesh, interpolate_nodal(lambda x: 0.0, mesh))
-        np.testing.assert_allclose(stiff.toarray()[2], [0, -1 / h, 2 / h, -1 / h, 0], atol=1e-12)
+        row = csr(mesh, stiff).toarray()[2]
+        np.testing.assert_allclose(row, [0, -1 / h, 2 / h, -1 / h, 0], atol=1e-12)
 
     def test_weighted_mass_with_unit_weight_equals_mass(self):
         mesh = build_mesh((0.0, 3.0), 6)
         mass, _, wmass = assemble_operators(mesh, interpolate_nodal(lambda x: 1.0, mesh))
-        assert np.max(np.abs((wmass - mass).toarray())) <= 1e-15
+        assert np.max(np.abs(wmass - mass)) <= 1e-15
 
     def test_mass_total_is_measure(self):
         mesh = build_mesh((0.0, 10.0), 13)
@@ -136,7 +143,7 @@ class TestAssembly1D:
     def test_stiffness_annihilates_constants(self):
         mesh = build_mesh((0.0, 1.0), 9)
         _, stiff, _ = assemble_operators(mesh, interpolate_nodal(lambda x: 0.0, mesh))
-        np.testing.assert_allclose(stiff @ np.ones(mesh.n_nodes), 0.0, atol=1e-12)
+        np.testing.assert_allclose(csr(mesh, stiff) @ np.ones(mesh.n_nodes), 0.0, atol=1e-12)
 
     def test_load_of_cubic_sums_to_integral(self):
         # Partition of unity: sum_i (f, phi_i) = integral of f; the 2-point
@@ -156,7 +163,7 @@ class TestAssembly2D:
         mesh = build_mesh((0.0, 1.0), 4, dim=2)
         _, stiff, _ = assemble_operators(mesh, interpolate_nodal(lambda x, y: 0.0, mesh))
         center = 2 * 5 + 2  # interior node (2, 2)
-        row = stiff.toarray()[center]
+        row = csr(mesh, stiff).toarray()[center]
         assert row[center] == pytest.approx(8.0 / 3.0, abs=1e-12)
         neighbours = [center - 6, center - 5, center - 4, center - 1,
                       center + 1, center + 4, center + 5, center + 6]
@@ -170,7 +177,7 @@ class TestAssembly2D:
     def test_weighted_mass_with_unit_weight_equals_mass(self):
         mesh = build_mesh((0.0, 1.0), 3, dim=2)
         mass, _, wmass = assemble_operators(mesh, interpolate_nodal(lambda x, y: 1.0, mesh))
-        assert np.max(np.abs((wmass - mass).toarray())) <= 1e-14
+        assert np.max(np.abs(wmass - mass)) <= 1e-14
 
     def test_load_total_is_integral(self):
         mesh = build_mesh((0.0, 1.0), 6, dim=2)
@@ -201,36 +208,65 @@ class TestScatterOracle:
         assert len(blocks) == len(operators)
         for operator, local in zip(operators, blocks):
             reference = coo_scatter(local, mesh.elements, mesh.n_nodes)
-            for name in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(getattr(operator, name), getattr(reference, name))
-            # The operators hold the pattern's own index arrays, not copies.
-            assert operator.indptr is pattern.indptr
-            assert np.shares_memory(operator.indices, pattern.indices)
+            # An operator is its data in the pattern, whose arrays are scipy's.
+            np.testing.assert_array_equal(pattern.indptr, reference.indptr)
+            np.testing.assert_array_equal(pattern.indices, reference.indices)
+            np.testing.assert_array_equal(operator, reference.data)
 
     @SCATTER_MESHES
     def test_block_maps_cut_the_blocks_scipy_indexes(self, dim, cells):
         mesh = build_mesh((0.0, 1.0), cells, dim)
         ii = mesh.interior_nodes
         stiff = stiffness_matrix(mesh)
-        blocks = [(mesh.interior_block, stiff[np.ix_(ii, ii)]), (mesh.interior_rows, stiff[ii])]
+        matrix = csr(mesh, stiff)
+        blocks = [(mesh.interior_block, matrix[np.ix_(ii, ii)]), (mesh.interior_rows, matrix[ii])]
         for block_map, expected in blocks:
-            cut = block_map.matrix(stiff.data)
-            assert cut.shape == expected.shape
-            for name in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(getattr(cut, name), getattr(expected, name))
+            np.testing.assert_array_equal(block_map.indptr, expected.indptr)
+            np.testing.assert_array_equal(block_map.indices, expected.indices)
+            np.testing.assert_array_equal(stiff[block_map.take], expected.data)
+
+
+class TestSharedArrays:
+    """The pattern, both block maps and M are shared by every operator, system
+    and caller of a mesh, and prepare_spd keeps what it is given: an in-place
+    write into any of them must fail."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_in_place_writes_raise(self, dim):
+        mesh = build_mesh((0.0, 1.0), 4, dim)
+        owners = {"pattern": mesh.pattern, "interior_block": mesh.interior_block,
+                  "interior_rows": mesh.interior_rows}
+        arrays = {
+            f"{owner}.{field.name}": getattr(obj, field.name)
+            for owner, obj in owners.items()
+            for field in dataclasses.fields(obj)
+        }
+        arrays["mass"] = mesh.mass
+        assert len(arrays) == 10
+        assert [name for name, array in arrays.items() if array.flags.writeable] == []
+        for array in arrays.values():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
 
 
 class TestNormsAndBoundary:
+    @pytest.mark.parametrize("dim, cells", [(1, 50), (2, 12)])
+    def test_norm_is_the_scipy_product(self, dim, cells):
+        mesh = build_mesh((0.0, 1.0), cells, dim)
+        v = np.random.default_rng(cells).standard_normal(mesh.n_nodes)
+        expected = np.sqrt(v @ (csr(mesh, mass_matrix(mesh)) @ v))
+        assert mass_norm(v, mesh) == expected
+
     def test_norm_of_constant(self):
         mesh = build_mesh((0.0, 10.0), 12)
         field = interpolate_nodal(lambda x: 1.0, mesh)
-        assert mass_norm(field.values, mass_matrix(mesh)) == pytest.approx(np.sqrt(10.0), abs=1e-12)
+        assert mass_norm(field.values, mesh) == pytest.approx(np.sqrt(10.0), abs=1e-12)
 
     def test_norm_of_single_hat(self):
         # One interior hat on (0,1) with M=2: ||phi||^2 = 2h/3 = 1/3.
         mesh = build_mesh((0.0, 1.0), 2)
         field = NodalField(np.array([0.0, 1.0, 0.0]), mesh)
-        assert mass_norm(field.values, mass_matrix(mesh)) == pytest.approx(
+        assert mass_norm(field.values, mesh) == pytest.approx(
             0.5773502691896258, abs=1e-15
         )
 
@@ -260,7 +296,7 @@ class TestProperties:
     @given(cells=st.integers(min_value=2, max_value=30))
     def test_mass_rows_sum_to_hat_integrals_1d(self, cells):
         mesh = build_mesh((0.0, 1.0), cells)
-        sums = np.asarray(mass_matrix(mesh).sum(axis=1)).ravel()
+        sums = np.asarray(csr(mesh, mass_matrix(mesh)).sum(axis=1)).ravel()
         expected = np.full(mesh.n_nodes, mesh.h)
         expected[mesh.boundary_nodes] = mesh.h / 2.0
         np.testing.assert_allclose(sums, expected, atol=1e-14)
@@ -270,7 +306,7 @@ class TestProperties:
         mesh = build_mesh((0.0, 1.0), cells, dim=dim)
         q = interpolate_nodal((lambda x: 0.0) if dim == 1 else (lambda x, y: 0.0), mesh)
         _, stiff, _ = assemble_operators(mesh, q)
-        dense = stiff.toarray()
+        dense = csr(mesh, stiff).toarray()
         assert np.max(np.abs(dense - dense.T)) <= 1e-13
         assert np.linalg.eigvalsh(dense).min() >= -1e-10
 

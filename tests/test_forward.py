@@ -12,6 +12,8 @@ must coincide with classic backward Euler, which is rolled by hand.
 `reference_march` is the march as it was before the interior blocks came
 from maps built once per mesh: fancy-indexed blocks and scipy products on an
 M that it assembles itself.  The march must reproduce it bit for bit.
+Assembly returns an operator's data in the mesh's pattern; conftest.csr
+rebuilds the scipy matrices of these oracles.
 """
 
 import dataclasses
@@ -33,6 +35,7 @@ from fracpot.fem import (
     weighted_mass_matrix,
 )
 from fracpot.forward import ForwardSolution, ProblemSpec, restrict_to_mesh, solve_forward
+from fracpot.inverse import ObservationData, compute_psi_h, reconstruct
 from fracpot.sparselin import prepare_spd, solve_spd
 from conftest import (
     SMOOTH_POTENTIAL,
@@ -40,6 +43,7 @@ from conftest import (
     benchmark_problem_1d,
     benchmark_problem_2d,
     coo_scatter,
+    csr,
     recon_1d_small_t,
     small_2d,
 )
@@ -62,7 +66,7 @@ def dense_march(spec, q_values):
     """Reference march of the scheme with dense numpy solves."""
     mesh = spec.mesh
     q = interpolate_nodal(lambda x: np.interp(x, mesh.node_coords[:, 0], q_values), mesh)
-    mass, stiff, wmass = (m.toarray() for m in assemble_operators(mesh, q))
+    mass, stiff, wmass = (csr(mesh, m).toarray() for m in assemble_operators(mesh, q))
     load = assemble_load(mesh, spec.f_expr)
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
     scale = spec.tau ** (-spec.alpha)
@@ -93,10 +97,11 @@ def reference_march(spec, q):
     n_steps = spec.num_steps
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
     w0 = cq_weights(spec.alpha, spec.num_steps, spec.tau).weights[0]
-    mass = mass_matrix(mesh)
-    base = (setup.scale * w0) * mass + stiffness_matrix(mesh)
-    system = base + weighted_mass_matrix(mesh, q)
-    system_ii = prepare_spd(system[np.ix_(ii, ii)])
+    mass = csr(mesh, mass_matrix(mesh))
+    base = (setup.scale * w0) * mass + csr(mesh, stiffness_matrix(mesh))
+    system = base + csr(mesh, weighted_mass_matrix(mesh, q))
+    block = system[np.ix_(ii, ii)]
+    system_ii = prepare_spd(block.indptr, block.indices, block.data)
     rhs_base = setup.load_int - system[np.ix_(ii, bb)] @ setup.boundary_values
 
     history = np.empty((n_steps + 1, mesh.n_nodes))
@@ -134,7 +139,7 @@ class TestAgainstDenseOracle:
         spec = small_spec(alpha=1.0, cells=5, num_steps=3, tau_total=0.3)
         q = interpolate_nodal(lambda x: 0.5 + x, spec.mesh)
         mesh = spec.mesh
-        mass, stiff, wmass = (m.toarray() for m in assemble_operators(mesh, q))
+        mass, stiff, wmass = (csr(mesh, m).toarray() for m in assemble_operators(mesh, q))
         load = assemble_load(mesh, spec.f_expr)
         ii, bb = mesh.interior_nodes, mesh.boundary_nodes
         u = interpolate_nodal(spec.v_expr, mesh).values.copy()
@@ -271,8 +276,8 @@ class TestSetupLifetime:
     def test_one_march_prepares_one_system(self, monkeypatch):
         prepared, solved = [], []
 
-        def counting_prepare(a):
-            prepared.append(sparselin.prepare_spd(a))
+        def counting_prepare(*arrays):
+            prepared.append(sparselin.prepare_spd(*arrays))
             return prepared[-1]
 
         def counting_solve(system, rhs, x0=None):
@@ -301,9 +306,9 @@ class TestMarchOracle:
         spec = dataclasses.replace(spec, alpha=alpha)
         prepared = []
 
-        def recording_prepare(a):
-            prepared.append(a)
-            return sparselin.prepare_spd(a)
+        def recording_prepare(*arrays):
+            prepared.append(arrays)
+            return sparselin.prepare_spd(*arrays)
 
         monkeypatch.setattr(forward, "prepare_spd", recording_prepare)
         solution = solve_forward(spec, q)
@@ -316,9 +321,8 @@ class TestMarchOracle:
         ii = spec.mesh.interior_nodes
         (gathered,) = prepared
         expected = system[np.ix_(ii, ii)]
-        assert gathered.shape == expected.shape
-        for name in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(gathered, name), getattr(expected, name))
+        for array, name in zip(gathered, ("indptr", "indices", "data")):
+            np.testing.assert_array_equal(array, getattr(expected, name))
 
 
 SPARSE_TYPES = [
@@ -331,8 +335,9 @@ SPARSE_OPERATORS = (
 
 
 def sparse_calls(monkeypatch, march, spec, q):
-    """Calls of scipy.sparse operators made by one march of a set-up spec,
-    with each construction of a COO matrix or array counted as "coo"."""
+    """Calls of scipy.sparse operators made by march(spec, q) on a set-up spec,
+    with each construction of a sparse matrix or array counted under the name
+    of its class."""
     spec.discretization  # the once-per-spec setup is not counted
     originals = {
         (cls, op): getattr(cls, op)
@@ -340,17 +345,22 @@ def sparse_calls(monkeypatch, march, spec, q):
         for op in SPARSE_OPERATORS
         if hasattr(cls, op)
     }
-    originals.update({(cls, "coo"): cls.__init__ for cls in (sp.coo_matrix, sp.coo_array)})
+    originals.update({(cls, cls.__name__): cls.__init__ for cls in SPARSE_TYPES})
     counts = Counter()
     for (cls, op), original in originals.items():
         def counting(self, *args, _op=op, _original=original, **kwargs):
             counts[_op] += 1
             return _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__" if op == "coo" else op, counting)
+        monkeypatch.setattr(cls, op if op in SPARSE_OPERATORS else "__init__", counting)
     march(spec, q)
     monkeypatch.undo()
     return counts
+
+
+def constructions(counts):
+    """The number of sparse matrices and arrays built, from sparse_calls' counts."""
+    return sum(counts[cls.__name__] for cls in SPARSE_TYPES)
 
 
 class TestSparseFreeMarch:
@@ -371,7 +381,7 @@ class TestSparseFreeMarch:
     def test_builds_no_coo_matrix(self, monkeypatch, problem):
         spec, q = problem()
         counts = sparse_calls(monkeypatch, solve_forward, spec, q)
-        assert counts["coo"] == counts["tocsr"] == 0
+        assert counts["coo_matrix"] == counts["coo_array"] == counts["tocsr"] == 0
 
     def test_the_count_sees_a_coo_assembly(self, monkeypatch):
         spec, q = small_2d()
@@ -380,7 +390,7 @@ class TestSparseFreeMarch:
         counts = sparse_calls(
             monkeypatch, lambda *_: coo_scatter(local, mesh.elements, mesh.n_nodes), spec, q
         )
-        assert counts["coo"] == counts["tocsr"] == 1
+        assert counts["coo_matrix"] == counts["tocsr"] == 1
 
     def test_the_count_sees_the_reference_march_grow(self, monkeypatch):
         spec, q = small_2d()
@@ -390,6 +400,30 @@ class TestSparseFreeMarch:
         )
         assert short["__getitem__"] == long["__getitem__"] == 2
         assert long["__matmul__"] - short["__matmul__"] == 4
+
+
+def pipeline(spec, q):
+    """One march, one psi_h, and one reconstruction (max_iter iterations at most)
+    with its error trace, from the march's terminal field and a zero boundary
+    trace."""
+    obs = ObservationData(solve_forward(spec, q).terminal, np.zeros(spec.mesh.boundary_nodes.size))
+    compute_psi_h(spec.mesh, obs.g_delta, obs.psi_boundary)
+    reconstruct(spec, obs, q_true=lambda *xy: 3.0)
+
+
+class TestSparseFreePipeline:
+    """No scipy matrix is built at run time: operators are data in the mesh's
+    pattern, and every system and norm runs on CSR arrays."""
+
+    @MARCH_PROBLEMS
+    def test_builds_no_sparse_matrix(self, monkeypatch, problem):
+        spec, q = problem()
+        spec = dataclasses.replace(spec, max_iter=2)
+        assert constructions(sparse_calls(monkeypatch, pipeline, spec, q)) == 0
+
+    def test_the_count_sees_the_reference_march_build(self, monkeypatch):
+        spec, q = small_2d()
+        assert constructions(sparse_calls(monkeypatch, reference_march, spec, q)) > 0
 
 
 class TestValidation:

@@ -7,8 +7,9 @@ fixtures use crime-free small cases plus the self-consistent delta=0 setup
 where the fixed point recovers the interpolated truth almost exactly.
 
 `reference_psi_h` is compute_psi_h as it was before the mesh kept M and the
-maps of its blocks: a fresh M, fancy-indexed blocks and scipy products.
-compute_psi_h must reproduce it bit for bit.
+maps of its blocks: a fresh M, fancy-indexed blocks and scipy products, on
+the matrices that conftest.csr rebuilds.  compute_psi_h must reproduce it bit
+for bit.
 """
 
 import dataclasses
@@ -37,16 +38,17 @@ from fracpot.inverse import (
     reconstruct,
 )
 from fracpot.sparselin import SolveFailure, prepare_spd, solve_spd
-from conftest import SMOOTH_POTENTIAL, benchmark_problem_1d, recon_1d_small_t, small_2d
+from conftest import SMOOTH_POTENTIAL, benchmark_problem_1d, csr, recon_1d_small_t, small_2d
 
 
 def reference_psi_h(mesh, g_delta, psi_b):
     """The body of compute_psi_h with scipy's fancy indexing, kept verbatim as
     the oracle."""
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
-    mass, stiff = mass_matrix(mesh), stiffness_matrix(mesh)
+    mass, stiff = csr(mesh, mass_matrix(mesh)), csr(mesh, stiffness_matrix(mesh))
     rhs = -(stiff @ g_delta.values)[ii] - mass[np.ix_(ii, bb)] @ psi_b
-    interior, report = solve_spd(prepare_spd(mass[np.ix_(ii, ii)]), rhs)
+    block = mass[np.ix_(ii, ii)]
+    interior, report = solve_spd(prepare_spd(block.indptr, block.indices, block.data), rhs)
     assert report.converged
     full = np.empty(mesh.n_nodes)
     full[ii] = interior
@@ -188,7 +190,7 @@ class TestReconstruct:
         spec, obs = crime_free_setup()
         result = reconstruct(spec, obs, q_true=SMOOTH_POTENTIAL)
         truth = interpolate_nodal(SMOOTH_POTENTIAL, spec.mesh)
-        direct = mass_norm(result.q_star.values - truth.values, mass_matrix(spec.mesh))
+        direct = mass_norm(result.q_star.values - truth.values, spec.mesh)
         assert result.errors_vs_truth[-1] == pytest.approx(direct, abs=1e-15)
         assert len(result.errors_vs_truth) == result.iterations + 1
 
@@ -204,7 +206,7 @@ class TestReconstruct:
             obs.g_delta.values,
             spec.M1,
         )
-        residual = mass_norm(again - result.q_star.values, mass_matrix(spec.mesh))
+        residual = mass_norm(again - result.q_star.values, spec.mesh)
         assert residual <= 1e-9
 
     def test_deterministic(self):
@@ -230,9 +232,7 @@ class TestReconstruct:
         from_high = reconstruct(spec, obs, q0=lambda x: np.full_like(x, 10.0))  # clamped to M1
         for other in (from_low, from_high):
             assert other.converged
-            diff = mass_norm(
-                other.q_star.values - from_default.q_star.values, mass_matrix(spec.mesh)
-            )
+            diff = mass_norm(other.q_star.values - from_default.q_star.values, spec.mesh)
             assert diff <= 1e-8
 
     def test_noisy_data_still_converges(self):

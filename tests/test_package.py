@@ -6,6 +6,7 @@ module needs from another is public API of that module.  No public name may
 exist only for the tests: each must have a use in fracpot or in perfbench.
 That check matches bare names, so a method name that several classes define
 must be listed in SHARED_METHODS with the production code that reads it.
+The one scipy name the package imports is the CSR kernel module, in fem.
 """
 
 import ast
@@ -42,6 +43,22 @@ def test_no_module_imports_a_private_name_of_another():
                     if alias.name.startswith("_")
                 ]
     assert SOURCES and offenders == []
+
+
+def test_the_one_scipy_import_is_the_kernel_module_in_fem():
+    """Operators are data in the mesh's pattern, so no module builds a scipy
+    matrix; fem reaches scipy's CSR product kernel, and nothing else of scipy."""
+    imports = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            imports += [(path.name, name) for name in names if name.split(".")[0] == "scipy"]
+    assert imports == [("fem.py", "scipy.sparse._sparsetools")]
 
 
 def layer_names() -> set:

@@ -8,6 +8,8 @@ x(1-x)/2 (Q1 nodal exactness for -u'' = 1 with constant load).
 `reference_pcg` is the solver as it was before systems were prepared once:
 `a @ v` products, fresh temporaries and np.linalg.norm.  The prepared solver
 must reproduce it bit for bit, on the benchmark's systems and on random ones.
+
+prepare_spd takes CSR arrays; `prepare` hands it those of a scipy matrix.
 """
 
 import math
@@ -17,12 +19,12 @@ import pytest
 import scipy.sparse as sp
 
 from fracpot import forward
+from fracpot.fem import csr_matvec
 from fracpot.sparselin import (
     REL_TOL,
     SolveFailure,
     SolveReport,
     SpdSystem,
-    csr_matvec,
     prepare_spd,
     solve_failure,
     solve_spd,
@@ -77,6 +79,12 @@ def reference_pcg(a, rhs, x0=None):
     return x, SolveReport(iterations, res, bool(res <= REL_TOL))
 
 
+def prepare(a):
+    """prepare_spd on the CSR arrays of a scipy matrix."""
+    a = sp.csr_matrix(a)
+    return prepare_spd(a.indptr, a.indices, a.data)
+
+
 def eliminated_laplacian_m4():
     """Interior system of -u''=1 on (0,1) with M=4 cells: (1/h) tridiag(-1,2,-1)."""
     h = 0.25
@@ -98,9 +106,9 @@ def march_solves(monkeypatch, spec, q):
     """The interior matrix and every (rhs, x0) of one forward march."""
     matrices, solves = [], []
 
-    def recording_prepare(a):
-        matrices.append(a)
-        return prepare_spd(a)
+    def recording_prepare(*arrays):
+        matrices.append(arrays)
+        return prepare_spd(*arrays)
 
     def recording_solve(system, rhs, x0=None):
         solves.append((rhs.copy(), x0.copy()))
@@ -110,12 +118,13 @@ def march_solves(monkeypatch, spec, q):
     monkeypatch.setattr(forward, "solve_spd", recording_solve)
     forward.solve_forward(spec, q)
     monkeypatch.undo()
-    (matrix,) = matrices
-    return sp.csr_matrix(matrix), solves
+    ((indptr, indices, data),) = matrices
+    n = indptr.size - 1
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=True), solves
 
 
 def assert_bitwise_like_reference(a, rhs, x0=None):
-    x, report = solve_spd(prepare_spd(a), rhs, x0)
+    x, report = solve_spd(prepare(a), rhs, x0)
     x_ref, report_ref = reference_pcg(a, rhs, x0)
     np.testing.assert_array_equal(x, x_ref)
     assert report == report_ref
@@ -142,53 +151,63 @@ class TestBitwiseOracle:
     def test_kernel_matvec_is_the_operator_product(self, monkeypatch, problem):
         # Guards the private scipy kernel: an upgrade that changes it fails here.
         a, _ = march_solves(monkeypatch, *problem())
-        system = prepare_spd(a)
-        v = np.random.default_rng(3).standard_normal(system.n)
-        out = np.full(system.n, np.nan)
+        system = prepare(a)
+        v = np.random.default_rng(3).standard_normal(a.shape[0])
+        out = np.full(a.shape[0], np.nan)
         product = csr_matvec(system.indptr, system.indices, system.data, v, out)
         np.testing.assert_array_equal(product, a @ v)
         np.testing.assert_array_equal(out, a @ v)
 
 
 class TestPrepareSpd:
-    def test_keeps_its_own_copies(self):
+    def test_keeps_the_arrays_it_is_given(self):
         a, _ = eliminated_laplacian_m4()
-        system = prepare_spd(a)
-        assert isinstance(system, SpdSystem) and system.n == 3
-        for own, given in [(system.indptr, a.indptr), (system.indices, a.indices),
-                           (system.data, a.data)]:
-            np.testing.assert_array_equal(own, given)
-            assert not np.shares_memory(own, given)
+        system = prepare_spd(a.indptr, a.indices, a.data)
+        assert isinstance(system, SpdSystem) and system.inv_diag.shape == (3,)
+        assert system.indptr is a.indptr and system.indices is a.indices
+        assert system.data is a.data
         np.testing.assert_array_equal(system.inv_diag, 1.0 / a.diagonal())
+
+    def test_diagonal_is_read_as_scipy_reads_it(self):
+        # Unsorted columns and a diagonal entry split in two, as a CSR matrix
+        # with duplicates holds them: the two parts add up.
+        indptr = np.array([0, 3, 5, 6], dtype=np.int32)
+        indices = np.array([1, 0, 0, 1, 0, 2], dtype=np.int32)
+        data = np.array([-1.0, 1.5, 2.5, 3.0, -1.0, 5.0])
+        a = sp.csr_matrix((data, indices, indptr), shape=(3, 3), copy=True)
+        system = prepare_spd(indptr, indices, data)
+        np.testing.assert_array_equal(system.inv_diag, 1.0 / a.diagonal())
+        np.testing.assert_array_equal(system.inv_diag, [0.25, 1.0 / 3.0, 0.2])
+
+    def test_row_without_a_diagonal_entry_rejected(self):
+        indptr = np.array([0, 1, 2], dtype=np.int32)
+        with pytest.raises(ValueError, match="diagonal"):
+            prepare_spd(indptr, np.array([0, 0], dtype=np.int32), np.array([2.0, 1.0]))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_nonfinite_entry_rejected(self, bad):
         a = sp.csr_matrix(np.array([[2.0, bad], [bad, 2.0]]))
         with pytest.raises(SolveFailure, match="non-finite"):
-            prepare_spd(a)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            prepare_spd(sp.csr_matrix(np.ones((2, 3))))
+            prepare(a)
 
 
 class TestSolveSpd:
     def test_identity_single_iteration(self):
         e1 = np.array([1.0, 0.0, 0.0])
-        x, report = solve_spd(prepare_spd(sp.identity(3, format="csr")), e1)
+        x, report = solve_spd(prepare(sp.identity(3, format="csr")), e1)
         np.testing.assert_allclose(x, e1, atol=1e-15)
         assert report.iterations == 1
         assert report.converged
 
     def test_diagonal_system(self):
         a = sp.diags([2.0, 2.0, 2.0, 2.0]).tocsr()
-        x, report = solve_spd(prepare_spd(a), np.ones(4))
+        x, report = solve_spd(prepare(a), np.ones(4))
         np.testing.assert_allclose(x, 0.5, atol=1e-14)
         assert report.converged
 
     def test_poisson_m4_vs_frozen(self):
         a, rhs = eliminated_laplacian_m4()
-        x, report = solve_spd(prepare_spd(a), rhs)
+        x, report = solve_spd(prepare(a), rhs)
         assert report.converged
         np.testing.assert_allclose(x, POISSON_M4_SOLUTION, atol=1e-10)
 
@@ -199,14 +218,14 @@ class TestSolveSpd:
         np.testing.assert_allclose(direct, POISSON_M4_SOLUTION, atol=1e-14)
 
     def test_zero_rhs_short_circuits(self):
-        system = prepare_spd(sp.identity(5, format="csr"))
+        system = prepare(sp.identity(5, format="csr"))
         x, report = solve_spd(system, np.zeros(5))
         np.testing.assert_array_equal(x, np.zeros(5))
         assert report == SolveReport(0, 0.0, True)
 
     def test_warm_start_with_exact_solution(self):
         a, rhs = eliminated_laplacian_m4()
-        system = prepare_spd(a)
+        system = prepare(a)
         exact, _ = solve_spd(system, rhs)
         x, report = solve_spd(system, rhs, x0=exact)
         assert report.iterations == 0
@@ -215,7 +234,7 @@ class TestSolveSpd:
     def test_residual_contract_on_random_spd(self):
         # Spec invariant: 50 random SPD systems B^T B + I up to dimension 200.
         for a, rhs in random_spd_systems():
-            x, report = solve_spd(prepare_spd(a), rhs)
+            x, report = solve_spd(prepare(a), rhs)
             res = np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs)
             assert report.converged
             assert res <= 1e-12
@@ -225,7 +244,7 @@ class TestSolveSpd:
         h = 1.0 / (n + 1)
         a = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr() / h
         rhs = np.full(n, h)
-        x, report = solve_spd(prepare_spd(a), rhs)
+        x, report = solve_spd(prepare(a), rhs)
         assert report.converged
         assert report.iterations <= 10 * n
         xs = np.linspace(h, 1.0 - h, n)
@@ -235,23 +254,23 @@ class TestSolveSpd:
         rng = np.random.default_rng(23)
         b = rng.standard_normal((40, 40))
         a = sp.csr_matrix(b.T @ b + np.eye(40))
-        _, report = solve_spd(prepare_spd(a), rng.standard_normal(40))
+        _, report = solve_spd(prepare(a), rng.standard_normal(40))
         assert report.converged
         assert report.final_residual <= REL_TOL
 
     def test_nonpositive_diagonal_rejected(self):
         a = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="diagonal"):
-            prepare_spd(a)
+            prepare(a)
 
     def test_indefinite_matrix_rejected(self):
         a = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
         with pytest.raises(ValueError, match="positive definite"):
-            solve_spd(prepare_spd(a), np.array([1.0, -1.0]))
+            solve_spd(prepare(a), np.array([1.0, -1.0]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            solve_spd(prepare_spd(sp.identity(3, format="csr")), np.ones(2))
+            solve_spd(prepare(sp.identity(3, format="csr")), np.ones(2))
 
     @pytest.mark.parametrize(
         "rhs",
@@ -262,7 +281,7 @@ class TestSolveSpd:
     def test_nonfinite_rhs_fails_after_zero_iterations(self, rhs, x0):
         a, _ = eliminated_laplacian_m4()
         with np.errstate(over="ignore"):
-            x, report = solve_spd(prepare_spd(a), np.array(rhs), x0)
+            x, report = solve_spd(prepare(a), np.array(rhs), x0)
         assert report.iterations == 0 and not report.converged
         assert math.isnan(report.final_residual)
         np.testing.assert_array_equal(x, np.zeros(3) if x0 is None else x0)
@@ -275,7 +294,7 @@ class TestSolveFailure:
     def test_nonfinite_rhs(self):
         with np.errstate(over="ignore"):
             rhs = np.full(3, 1e200)
-            _, report = solve_spd(prepare_spd(eliminated_laplacian_m4()[0]), rhs)
+            _, report = solve_spd(prepare(eliminated_laplacian_m4()[0]), rhs)
             failure = solve_failure("step 2/5", report, rhs)
         assert isinstance(failure, SolveFailure)
         assert str(failure) == "step 2/5: the right-hand side has a non-finite norm"

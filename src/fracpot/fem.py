@@ -8,18 +8,41 @@ here (the weighted mass integrand is at most cubic per axis).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
+import scipy
+
+
+def _load_sparsetools():
+    """scipy's compiled `scipy.sparse._sparsetools`, loaded from its file.
+
+    `from scipy.sparse import _sparsetools` would run the scipy.sparse package
+    init, whose array-API layer loads numpy.f2py, numpy.testing, numpy.ma,
+    unittest and email: ~300 modules, ~0.2 s and ~20 MB of resident memory
+    in every process.  fracpot needs only the CSR product kernel, so it loads
+    the extension file alone.  The spec keeps the full module name, so a later
+    `import scipy.sparse` in the same process reuses this extension.
+    """
+    where = f"{scipy.__path__[0]}/sparse"
+    spec = importlib.machinery.PathFinder.find_spec("_sparsetools", [where])
+    if spec is None:
+        raise ImportError(f"no _sparsetools extension in {where} (scipy {scipy.__version__})")
+    spec.name = "scipy.sparse._sparsetools"
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # The kernel that `csr @ vector` runs after scipy's operator dispatch (in scipy
 # 1.17, `_cs_matrix._matmul_vector` is np.zeros plus this call).  Calling it
 # directly gives bitwise-identical products without the dispatch, which costs
 # more than the product itself on the small systems of a short march.
-from scipy.sparse import _sparsetools
-
-_CSR_MATVEC = _sparsetools.csr_matvec
+_CSR_MATVEC = _load_sparsetools().csr_matvec
 
 # 2-point Gauss rule on the reference interval [0, 1], exact for cubics.
 _GAUSS_PTS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -106,7 +129,7 @@ class BlockMap:
     pattern, and the positions in the pattern's data its entries come from.
 
     rows and cols are sorted node lists, so for a matrix `a` of the pattern
-    with data `data`, (indptr, indices, data[take]) are the CSR arrays of
+    with data `data`, (indptr, indices, data.take(take)) are the CSR arrays of
     scipy's fancy-indexed block `a[rows][:, cols]`, and `matvec` computes its
     product bit for bit.
     """
@@ -132,7 +155,7 @@ class BlockMap:
 
     def matvec(self, data: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = (the block of the matrix with data `data`) v."""
-        return csr_matvec(self.indptr, self.indices, data[self.take], v, out)
+        return csr_matvec(self.indptr, self.indices, data.take(self.take), v, out)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

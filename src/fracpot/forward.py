@@ -126,7 +126,7 @@ class ProblemSpec:
             # (s M) + S entry by entry, as scipy adds them, except that an
             # entry that cancels to exactly 0 stays in the pattern.
             base_data=(scale * w[0]) * mass + stiffness_matrix(mesh),
-            mass_int=(rows.indptr, rows.indices, mass[rows.take]),
+            mass_int=(rows.indptr, rows.indices, mass.take(rows.take)),
             load_int=assemble_load(mesh, self.f_expr)[ii],
             f_nodes=interpolate_nodal(self.f_expr, mesh).values,
             boundary_values=boundary,
@@ -186,7 +186,7 @@ def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
     ii, bb, block = mesh.interior_nodes, mesh.boundary_nodes, mesh.interior_block
     # The data of base + M_q, entry by entry as scipy's CSR sum adds them.
     data = setup.base_data + weighted_mass_matrix(mesh, q)
-    system_ii = prepare_spd(block.indptr, block.indices, data[block.take])
+    system_ii = prepare_spd(block.indptr, block.indices, data.take(block.take))
     history = np.zeros((n_steps + 1, mesh.n_nodes))
     history[0] = setup.u0
     history[1:, bb] = setup.boundary_values

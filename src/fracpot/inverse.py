@@ -78,7 +78,7 @@ def compute_psi_h(mesh: Mesh, g_delta: NodalField, psi_boundary: np.ndarray) -> 
     with np.errstate(over="ignore"):
         rhs = -rows.matvec(stiffness_matrix(mesh), g_delta.values, np.empty(ii.size))
         rhs -= rows.matvec(mass, full, np.empty(ii.size))
-        interior, report = solve_spd(prepare_spd(block.indptr, block.indices, mass[block.take]), rhs)
+        interior, report = solve_spd(prepare_spd(block.indptr, block.indices, mass.take(block.take)), rhs)
         if not report.converged:
             raise solve_failure("mass solve for the data Laplacian", report, rhs)
     full[ii] = interior

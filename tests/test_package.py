@@ -6,15 +6,23 @@ module needs from another is public API of that module.  No public name may
 exist only for the tests: each must have a use in fracpot or in perfbench.
 That check matches bare names, so a method name that several classes define
 must be listed in SHARED_METHODS with the production code that reads it.
-The one scipy name the package imports is the CSR kernel module, in fem.
+The one scipy import is the scipy package itself, in fem, which loads the CSR
+kernel's extension file without the scipy.sparse package.
 """
 
 import ast
+import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fracpot
+import fracpot.fem
 
 SOURCES = sorted(Path(fracpot.__file__).resolve().parent.glob("*.py"))
+PACKAGE_ROOT = str(Path(fracpot.__file__).resolve().parent.parent)
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Public method names that more than one fracpot class defines, each mapped to
@@ -45,9 +53,10 @@ def test_no_module_imports_a_private_name_of_another():
     assert SOURCES and offenders == []
 
 
-def test_the_one_scipy_import_is_the_kernel_module_in_fem():
+def test_the_one_scipy_import_is_the_scipy_package_in_fem():
     """Operators are data in the mesh's pattern, so no module builds a scipy
-    matrix; fem reaches scipy's CSR product kernel, and nothing else of scipy."""
+    matrix; fem loads scipy's CSR product kernel from its file, and imports
+    nothing else of scipy."""
     imports = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -58,7 +67,42 @@ def test_the_one_scipy_import_is_the_kernel_module_in_fem():
             else:
                 continue
             imports += [(path.name, name) for name in names if name.split(".")[0] == "scipy"]
-    assert imports == [("fem.py", "scipy.sparse._sparsetools")]
+    assert imports == [("fem.py", "scipy")]
+
+
+def run_python(code: str, *path: Path) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter with `path` first on its PYTHONPATH."""
+    entries = [str(p) for p in path] + [PACKAGE_ROOT] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, entries))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_the_cli_loads_the_kernel_without_the_scipy_sparse_package():
+    proc = run_python(
+        "import sys, json, fracpot.cli\n"
+        "kernel = sys.modules['scipy.sparse._sparsetools']\n"
+        "print(json.dumps(['scipy.sparse' in sys.modules, kernel.__file__]))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    package_loaded, kernel_file = json.loads(proc.stdout)
+    assert not package_loaded
+    assert kernel_file == importlib.util.find_spec("scipy.sparse._sparsetools").origin
+
+
+def test_a_later_scipy_sparse_import_reuses_the_loaded_kernel():
+    import scipy.sparse._sparsetools
+
+    assert scipy.sparse._sparsetools.csr_matvec is fracpot.fem._CSR_MATVEC
+
+
+def test_a_missing_kernel_is_an_import_error_naming_where_and_which_scipy(tmp_path):
+    fake = tmp_path / "scipy"
+    (fake / "sparse").mkdir(parents=True)
+    (fake / "__init__.py").write_text('__version__ = "0.0.fake"\n')
+    proc = run_python("import fracpot", tmp_path)
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last == f"ImportError: no _sparsetools extension in {fake}/sparse (scipy 0.0.fake)"
 
 
 def layer_names() -> set:

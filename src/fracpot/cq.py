@@ -8,35 +8,24 @@ the classical backward difference quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class CQWeights:
-    alpha: float
-    tau: float
-    weights: np.ndarray
-
-
-def cq_weights(alpha: float, n_steps: int, tau: float = 1.0) -> CQWeights:
+def cq_weights(alpha: float, n_steps: int) -> np.ndarray:
     """Weights b_0..b_N of the backward Euler convolution quadrature."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
-    if tau <= 0.0:
-        raise ValueError(f"step size must be positive, got {tau}")
     j = np.arange(1, n_steps + 1, dtype=float)
     w = np.empty(n_steps + 1)
     w[0] = 1.0
     np.cumprod((j - 1.0 - alpha) / j, out=w[1:])
     w += 0.0
-    return CQWeights(float(alpha), float(tau), w)
+    return w
 
 
-def discrete_caputo(history, weights: CQWeights, n: int):
+def discrete_caputo(history, alpha: float, tau: float, n: int):
     """Discrete fractional derivative tau^{-alpha} sum_j b_j (u^{n-j} - u^0).
 
     `history` holds u^0..u^n (and possibly further entries) as rows; scalars
@@ -44,10 +33,7 @@ def discrete_caputo(history, weights: CQWeights, n: int):
     the initial value, so a constant history maps to zero.
     """
     hist = np.asarray(history, dtype=float)
-    if n < 0 or n > weights.weights.shape[0] - 1:
-        raise ValueError(f"step index {n} outside the weight range")
-    if hist.shape[0] < n + 1:
-        raise ValueError(f"history holds {hist.shape[0]} states, need {n + 1}")
-    w = weights.weights
-    conv = w[n::-1] @ (hist[: n + 1] - hist[0])
-    return conv * weights.tau ** (-weights.alpha)
+    if not 0 <= n < hist.shape[0]:
+        raise ValueError(f"step index {n} needs u^0..u^{n}, history holds {hist.shape[0]} states")
+    w = cq_weights(alpha, max(n, 1))
+    return w[n::-1] @ (hist[: n + 1] - hist[0]) * tau ** (-alpha)

@@ -226,22 +226,21 @@ def _eval(node, env):
 
 @dataclass(frozen=True)
 class FieldExpr:
-    """A parsed field expression, callable on node coordinate arrays."""
+    """A parsed field expression, callable on node coordinate arrays.
+
+    A call returns the raw result: a constant stays a scalar, and a non-finite
+    value is returned as is.  fem.evaluate_at broadcasts and checks it.
+    """
 
     source: str
     root: object
 
     def __call__(self, x, y=None):
-        x = np.asarray(x, dtype=float)
-        env = {"x": x}
+        env = {"x": np.asarray(x, dtype=float)}
         if y is not None:
             env["y"] = np.asarray(y, dtype=float)
         with np.errstate(all="ignore"):
-            out = np.asarray(_eval(self.root, env), dtype=float)
-        out = np.array(np.broadcast_to(out, x.shape))
-        if not np.isfinite(out).all():
-            raise ExprError(f"{self.source!r} evaluates to a non-finite value", 0)
-        return float(out) if out.ndim == 0 else out
+            return _eval(self.root, env)
 
     def __str__(self) -> str:
         return self.source

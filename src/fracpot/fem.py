@@ -17,6 +17,8 @@ from typing import Callable
 import numpy as np
 import scipy
 
+from .expressions import ExprError
+
 
 def _load_sparsetools():
     """scipy's compiled `scipy.sparse._sparsetools`, loaded from its file.
@@ -129,14 +131,14 @@ class BlockMap:
     pattern, and the positions in the pattern's data its entries come from.
 
     rows and cols are sorted node lists, so for a matrix `a` of the pattern
-    with data `data`, (indptr, indices, data.take(take)) are the CSR arrays of
+    with data `data`, (indptr, indices, data[take]) are the CSR arrays of
     scipy's fancy-indexed block `a[rows][:, cols]`, and `matvec` computes its
     product bit for bit.
     """
 
     indptr: np.ndarray  # int32
     indices: np.ndarray  # int32 block column numbers
-    take: np.ndarray  # int32 positions in the pattern's data, in block order
+    take: np.ndarray  # intp positions in the pattern's data, in block order
 
     @classmethod
     def cut(cls, pattern: Pattern, rows: np.ndarray, cols: np.ndarray) -> BlockMap:
@@ -150,12 +152,13 @@ class BlockMap:
         # Kept entries up to the end of each row; no row of a Q1 pattern is empty.
         indptr = np.zeros(rows.size + 1, dtype=np.int32)
         indptr[1:] = np.cumsum(keep, dtype=np.int32)[pattern.indptr[rows + 1] - 1]
-        take = np.flatnonzero(keep).astype(np.int32)
+        # intp, so that data[take] gathers with no cast and no copy of the index
+        take = np.flatnonzero(keep)
         return cls(*_read_only(indptr, number[pattern.indices[take]], take))
 
     def matvec(self, data: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = (the block of the matrix with data `data`) v."""
-        return csr_matvec(self.indptr, self.indices, data.take(self.take), v, out)
+        return csr_matvec(self.indptr, self.indices, data[self.take], v, out)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -235,20 +238,25 @@ def build_mesh(bounds: tuple[float, float], cells: int, dim: int = 1) -> Mesh:
 
 
 def evaluate_at(func: Callable, coords: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar function of space at the rows of an (n, dim) point array."""
+    """Evaluate a scalar function of space at the rows of an (n, dim) point array.
+
+    The one place that calls a field: a constant result is broadcast to every
+    point, and a non-finite value is an ExprError naming the field and the
+    first point where it occurs.
+    """
     x = coords[:, 0]
     raw = func(x) if coords.shape[1] == 1 else func(x, coords[:, 1])
-    return np.array(np.broadcast_to(np.asarray(raw, dtype=float), x.shape))
+    vals = np.array(np.broadcast_to(np.asarray(raw, dtype=float), x.shape))
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        where = tuple(coords[bad[0]].tolist())
+        raise ExprError(f"{str(func)!r} evaluates to a non-finite value at {where}", 0)
+    return vals
 
 
 def interpolate_nodal(func: Callable, mesh: Mesh) -> NodalField:
     """Sample a scalar function of space at every node (Lagrange interpolant)."""
-    vals = evaluate_at(func, mesh.node_coords)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        where = tuple(mesh.node_coords[bad[0]])
-        raise ValueError(f"field evaluates to a non-finite value at node {where}")
-    return NodalField(vals, mesh)
+    return NodalField(evaluate_at(func, mesh.node_coords), mesh)
 
 
 def _reference_arrays(dim: int, h: float):
@@ -320,8 +328,6 @@ def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
     corners = mesh.node_coords[mesh.elements[:, 0]]
     points = corners[:, None, :] + mesh.h * ref_pts[None, :, :]
     fq = evaluate_at(f, points.reshape(-1, mesh.dim)).reshape(points.shape[:2])
-    if not np.all(np.isfinite(fq)):
-        raise ValueError("source evaluates to a non-finite value at a quadrature point")
     local = fq @ (phi * wq).T
     return np.bincount(mesh.elements.ravel(), weights=local.ravel(), minlength=mesh.n_nodes)
 

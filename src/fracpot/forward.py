@@ -14,7 +14,8 @@ on first use, as its `discretization`.  A forward solve scatters only M_q,
 adds its data to that of the potential-independent part and gathers the
 interior block; every product then runs scipy's CSR kernel on preallocated
 buffers, with no sparse-matrix operator in the march.  A march holds exactly
-(N+1) * n_nodes * 8 bytes of history and no second copy of it.
+(N+1) * n_nodes * 8 bytes of history and no second copy of it; the history is
+local to the march, which returns u^N and dbar^alpha u^N alone.
 The terminal derivative dbar^alpha u^N comes from the last step itself: that
 step already forms the history part of the convolution, so
 dbar^alpha u^N = tau^{-alpha} (u^N + past_N) on interior nodes, and it is
@@ -114,7 +115,7 @@ class ProblemSpec:
         mesh = self.mesh
         ii, bb = mesh.interior_nodes, mesh.boundary_nodes
         scale = self.tau ** (-self.alpha)
-        w = cq_weights(self.alpha, self.num_steps, self.tau).weights
+        w = cq_weights(self.alpha, self.num_steps)
         mass, rows = mesh.mass, mesh.interior_rows
         boundary = interpolate_nodal(self.b_expr, mesh).values[bb]
         u0 = interpolate_nodal(self.v_expr, mesh).values
@@ -126,7 +127,7 @@ class ProblemSpec:
             # (s M) + S entry by entry, as scipy adds them, except that an
             # entry that cancels to exactly 0 stays in the pattern.
             base_data=(scale * w[0]) * mass + stiffness_matrix(mesh),
-            mass_int=(rows.indptr, rows.indices, mass.take(rows.take)),
+            mass_int=(rows.indptr, rows.indices, mass[rows.take]),
             load_int=assemble_load(mesh, self.f_expr)[ii],
             f_nodes=interpolate_nodal(self.f_expr, mesh).values,
             boundary_values=boundary,
@@ -157,19 +158,13 @@ class Discretization:
 
 @dataclass(frozen=True)
 class ForwardSolution:
-    """Terminal state, its discrete fractional time derivative, and history.
-
-    `history` has shape (num_steps + 1, n_nodes), row n holding u^n.
-    """
+    """Terminal state u^N and its discrete fractional time derivative."""
 
     terminal: NodalField
     frac_deriv_terminal: NodalField
-    history: np.ndarray
 
 
 def _check_potential(spec: ProblemSpec, q: NodalField) -> None:
-    if not q.mesh.matches(spec.mesh):
-        raise ValueError("potential is not aligned with the problem mesh")
     if q.values.min() < -_BOUND_SLACK or q.values.max() > spec.M1 + _BOUND_SLACK:
         raise ValueError(
             f"potential values [{q.values.min():.3g}, {q.values.max():.3g}] "
@@ -186,7 +181,7 @@ def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
     ii, bb, block = mesh.interior_nodes, mesh.boundary_nodes, mesh.interior_block
     # The data of base + M_q, entry by entry as scipy's CSR sum adds them.
     data = setup.base_data + weighted_mass_matrix(mesh, q)
-    system_ii = prepare_spd(block.indptr, block.indices, data.take(block.take))
+    system_ii = prepare_spd(block.indptr, block.indices, data[block.take])
     history = np.zeros((n_steps + 1, mesh.n_nodes))
     history[0] = setup.u0
     history[1:, bb] = setup.boundary_values
@@ -214,8 +209,7 @@ def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
             history[n, ii] = x
     frac = np.zeros(mesh.n_nodes)
     frac[ii] = scale * (x + past[ii])
-    terminal = NodalField(history[-1].copy(), mesh)
-    return ForwardSolution(terminal, NodalField(frac, mesh), history)
+    return ForwardSolution(NodalField(history[-1].copy(), mesh), NodalField(frac, mesh))
 
 
 def restrict_to_mesh(field: NodalField, coarse: Mesh) -> NodalField:

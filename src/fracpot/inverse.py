@@ -78,7 +78,7 @@ def compute_psi_h(mesh: Mesh, g_delta: NodalField, psi_boundary: np.ndarray) -> 
     with np.errstate(over="ignore"):
         rhs = -rows.matvec(stiffness_matrix(mesh), g_delta.values, np.empty(ii.size))
         rhs -= rows.matvec(mass, full, np.empty(ii.size))
-        interior, report = solve_spd(prepare_spd(block.indptr, block.indices, mass.take(block.take)), rhs)
+        interior, report = solve_spd(prepare_spd(block.indptr, block.indices, mass[block.take]), rhs)
         if not report.converged:
             raise solve_failure("mass solve for the data Laplacian", report, rhs)
     full[ii] = interior
@@ -126,8 +126,6 @@ def reconstruct(
     """
     mesh = spec.mesh
     _check_floor(obs, spec)
-    if not obs.g_delta.mesh.matches(mesh):
-        raise ValueError("observation is not aligned with the problem mesh")
     psi_h = compute_psi_h(mesh, obs.g_delta, obs.psi_boundary)
     f_nodes = spec.discretization.f_nodes
     if q0 is None:

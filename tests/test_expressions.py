@@ -139,10 +139,11 @@ class TestCalling:
         out = parse_field_expr("x+1")(2.0)
         assert isinstance(out, float) and out == 3.0
 
-    def test_constant_broadcast_to_array(self):
-        out = parse_field_expr("5")(np.zeros(7))
-        assert out.shape == (7,)
-        np.testing.assert_array_equal(out, 5.0)
+    def test_non_finite_result_is_returned_unchecked(self):
+        # fem.evaluate_at checks field values; a call returns them as they are.
+        with np.errstate(all="raise"):
+            out = parse_field_expr("1/x")(np.array([0.0, 2.0]))
+        np.testing.assert_array_equal(out, [np.inf, 0.5])
 
     def test_two_dimensional_broadcast(self):
         x = np.linspace(0.0, 1.0, 12).reshape(3, 4)

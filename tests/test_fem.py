@@ -25,12 +25,14 @@ from fracpot.fem import (
     assemble_load,
     assemble_operators,
     build_mesh,
+    evaluate_at,
     interpolate_nodal,
     mass_matrix,
     mass_norm,
     stiffness_matrix,
     weighted_mass_matrix,
 )
+from fracpot.expressions import ExprError, parse_field_expr
 from conftest import coo_scatter, csr
 
 POISSON_M4_SOLUTION = np.array([0.09375, 0.125, 0.09375])
@@ -117,6 +119,19 @@ class TestNodalField:
             interpolate_nodal(lambda x: np.where(x > 0.6, np.inf, 1.0), mesh)
 
 
+class TestEvaluateAt:
+    def test_constant_broadcast_to_array(self):
+        out = evaluate_at(parse_field_expr("5"), np.zeros((7, 1)))
+        assert out.shape == (7,)
+        np.testing.assert_array_equal(out, 5.0)
+
+    def test_non_finite_value_names_the_field_and_the_first_point(self):
+        coords = np.array([[1.0, 2.0], [0.0, 3.0], [0.0, 4.0]])
+        message = r"^'y/x' evaluates to a non-finite value at \(0.0, 3.0\)"
+        with pytest.raises(ExprError, match=message):
+            evaluate_at(parse_field_expr("y/x"), coords)
+
+
 class TestAssembly1D:
     def test_mass_stencil(self):
         mesh = build_mesh((0.0, 1.0), 4)
@@ -154,7 +169,7 @@ class TestAssembly1D:
 
     def test_load_rejects_nonfinite_source(self):
         mesh = build_mesh((0.0, 1.0), 4)
-        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="non-finite"):
+        with np.errstate(divide="ignore"), pytest.raises(ExprError, match="non-finite"):
             assemble_load(mesh, lambda x: 1.0 / (x - x[0]))
 
 
@@ -224,6 +239,7 @@ class TestScatterOracle:
             np.testing.assert_array_equal(block_map.indptr, expected.indptr)
             np.testing.assert_array_equal(block_map.indices, expected.indices)
             np.testing.assert_array_equal(stiff[block_map.take], expected.data)
+            assert block_map.take.dtype == np.intp  # data[take] casts no index
 
 
 class TestSharedArrays:

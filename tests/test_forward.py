@@ -9,14 +9,18 @@ numpy linear algebra straight from the definition
 history convolution shows up as a mismatch.  For alpha = 1 the scheme
 must coincide with classic backward Euler, which is rolled by hand.
 
-`reference_march` is the march as it was before the interior blocks came
-from maps built once per mesh: fancy-indexed blocks and scipy products on an
-M that it assembles itself.  The march must reproduce it bit for bit.
+The march keeps its history local and returns u^N and dbar^alpha u^N alone.
+The oracles read state n as the terminal state of an n-step march with the
+same time step (`marched_history`), or read the history of `reference_march`:
+the march as it was before the interior blocks came from maps built once per
+mesh, with fancy-indexed blocks and scipy products on an M that it assembles
+itself.  The march must reproduce it bit for bit.
 Assembly returns an operator's data in the mesh's pattern; conftest.csr
 rebuilds the scipy matrices of these oracles.
 """
 
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -34,7 +38,7 @@ from fracpot.fem import (
     stiffness_matrix,
     weighted_mass_matrix,
 )
-from fracpot.forward import ForwardSolution, ProblemSpec, restrict_to_mesh, solve_forward
+from fracpot.forward import ProblemSpec, restrict_to_mesh, solve_forward
 from fracpot.inverse import ObservationData, compute_psi_h, reconstruct
 from fracpot.sparselin import prepare_spd, solve_spd
 from conftest import (
@@ -70,7 +74,7 @@ def dense_march(spec, q_values):
     load = assemble_load(mesh, spec.f_expr)
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
     scale = spec.tau ** (-spec.alpha)
-    w = cq_weights(spec.alpha, spec.num_steps, spec.tau).weights
+    w = cq_weights(spec.alpha, spec.num_steps)
 
     u = interpolate_nodal(spec.v_expr, mesh).values.copy()
     u[bb] = interpolate_nodal(spec.b_expr, mesh).values[bb]
@@ -96,7 +100,7 @@ def reference_march(spec, q):
     mesh = spec.mesh
     n_steps = spec.num_steps
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
-    w0 = cq_weights(spec.alpha, spec.num_steps, spec.tau).weights[0]
+    w0 = cq_weights(spec.alpha, spec.num_steps)[0]
     mass = csr(mesh, mass_matrix(mesh))
     base = (setup.scale * w0) * mass + csr(mesh, stiffness_matrix(mesh))
     system = base + csr(mesh, weighted_mass_matrix(mesh, q))
@@ -120,20 +124,29 @@ def reference_march(spec, q):
     return history, frac, system
 
 
+def short_march(spec, q, k):
+    """The march of the first k steps of spec: the same time step, T = k tau."""
+    return solve_forward(dataclasses.replace(spec, num_steps=k, T=k * spec.tau), q)
+
+
+def marched_history(spec, q):
+    """u^0..u^N of spec's march, u^k the terminal state of a k-step march."""
+    states = [short_march(spec, q, k).terminal.values for k in range(1, spec.num_steps + 1)]
+    return np.array([spec.discretization.u0, *states])
+
+
 class TestAgainstDenseOracle:
     def test_two_steps_match(self):
         spec = small_spec()
         q = interpolate_nodal(lambda x: 1.0 + x, spec.mesh)
-        solution = solve_forward(spec, q)
         reference = dense_march(spec, q.values)
-        np.testing.assert_allclose(solution.history, reference, atol=1e-10)
+        np.testing.assert_allclose(marched_history(spec, q), reference, atol=1e-10)
 
     def test_five_steps_fractional(self):
         spec = small_spec(alpha=0.4, cells=6, num_steps=5, tau_total=0.5)
         q = interpolate_nodal(lambda x: 2.0 * x, spec.mesh)
-        solution = solve_forward(spec, q)
         reference = dense_march(spec, q.values)
-        np.testing.assert_allclose(solution.history, reference, atol=1e-9)
+        np.testing.assert_allclose(marched_history(spec, q), reference, atol=1e-9)
 
     def test_alpha_one_is_backward_euler(self):
         spec = small_spec(alpha=1.0, cells=5, num_steps=3, tau_total=0.3)
@@ -151,8 +164,7 @@ class TestAgainstDenseOracle:
             nxt[ii] = np.linalg.solve(system[np.ix_(ii, ii)], rhs[ii])
             states.append(nxt)
             u = nxt
-        solution = solve_forward(spec, q)
-        np.testing.assert_allclose(solution.history, np.array(states), atol=1e-10)
+        np.testing.assert_allclose(marched_history(spec, q), np.array(states), atol=1e-10)
 
 
 class TestInvariants:
@@ -169,9 +181,9 @@ class TestInvariants:
             M1=5.0,
         )
         q = interpolate_nodal(lambda x: np.full_like(x, 2.0), spec.mesh)
-        solution = solve_forward(spec, q)
-        np.testing.assert_allclose(solution.history, 3.0, atol=1e-10)
-        np.testing.assert_allclose(solution.frac_deriv_terminal.values, 0.0, atol=1e-8)
+        np.testing.assert_allclose(marched_history(spec, q), 3.0, atol=1e-10)
+        frac = solve_forward(spec, q).frac_deriv_terminal.values
+        np.testing.assert_allclose(frac, 0.0, atol=1e-8)
 
     def test_frac_deriv_vanishes_on_boundary(self):
         spec = small_spec(num_steps=4, tau_total=0.4)
@@ -193,7 +205,8 @@ class TestInvariants:
         q = interpolate_nodal(lambda x: 1.0 + x, spec.mesh)
         a = solve_forward(spec, q)
         b = solve_forward(spec, q)
-        np.testing.assert_array_equal(a.history, b.history)
+        np.testing.assert_array_equal(a.terminal.values, b.terminal.values)
+        np.testing.assert_array_equal(a.frac_deriv_terminal.values, b.frac_deriv_terminal.values)
 
     def test_temporal_error_decreases(self):
         spec = benchmark_problem_1d(alpha=0.5, cells=20, num_steps=160)
@@ -209,7 +222,8 @@ class TestInvariants:
 
 class TestTerminalDerivative:
     """The march takes dbar^alpha u^N from its last step; a separate pass of
-    cq.discrete_caputo over the whole history is the reference."""
+    cq.discrete_caputo over the whole history of reference_march, which is
+    bitwise that of the march, is the reference."""
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -221,8 +235,8 @@ class TestTerminalDerivative:
             spec = benchmark_problem_2d(alpha=alpha, cells=8, num_steps=20)
             q = interpolate_nodal(SMOOTH_POTENTIAL_2D, spec.mesh)
         solution = solve_forward(spec, q)
-        weights = cq_weights(spec.alpha, spec.num_steps, spec.tau)
-        reference = discrete_caputo(solution.history, weights, spec.num_steps)
+        history, _, _ = reference_march(spec, q)
+        reference = discrete_caputo(history, spec.alpha, spec.tau, spec.num_steps)
         ii, bb = spec.mesh.interior_nodes, spec.mesh.boundary_nodes
         frac = solution.frac_deriv_terminal.values
         np.testing.assert_allclose(frac[ii], reference[ii], rtol=1e-12, atol=0.0)
@@ -244,7 +258,10 @@ class TestSetupLifetime:
         first = solve_forward(spec, q)
         second = solve_forward(spec, q)
         assert len(calls) == 1
-        np.testing.assert_array_equal(first.history, second.history)
+        np.testing.assert_array_equal(first.terminal.values, second.terminal.values)
+        np.testing.assert_array_equal(
+            first.frac_deriv_terminal.values, second.frac_deriv_terminal.values
+        )
 
         changed = dataclasses.replace(spec, f_expr=lambda x: 4.0 - x)
         third = solve_forward(changed, q)
@@ -272,6 +289,19 @@ class TestSetupLifetime:
         assert changed.mesh.interior_block is spec.mesh.interior_block
         assert changed.mesh.interior_rows is spec.mesh.interior_rows
         assert len(calls) == 1
+
+    def test_the_march_keeps_no_history(self):
+        spec, q = small_2d()
+        spec = dataclasses.replace(spec, num_steps=40, T=40 * spec.tau)
+        solve_forward(spec, q)  # builds the spec's setup and the mesh's block maps
+        tracemalloc.start()
+        try:
+            solution = solve_forward(spec, q)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert solution.terminal.values.size == spec.mesh.n_nodes
+        assert kept < (spec.num_steps + 1) * spec.mesh.n_nodes * 8
 
     def test_one_march_prepares_one_system(self, monkeypatch):
         prepared, solved = [], []
@@ -314,9 +344,10 @@ class TestMarchOracle:
         solution = solve_forward(spec, q)
         monkeypatch.undo()
         history, frac, system = reference_march(spec, q)
-        np.testing.assert_array_equal(solution.history, history)
         np.testing.assert_array_equal(solution.terminal.values, history[-1])
         np.testing.assert_array_equal(solution.frac_deriv_terminal.values, frac)
+        for k in (1, 2, spec.num_steps // 2):
+            np.testing.assert_array_equal(short_march(spec, q, k).terminal.values, history[k])
 
         ii = spec.mesh.interior_nodes
         (gathered,) = prepared
@@ -486,9 +517,11 @@ class TestValidation:
 
     def test_potential_mesh_mismatch_rejected(self):
         spec = small_spec()
-        other = interpolate_nodal(lambda x: np.zeros_like(x), build_mesh((0.0, 1.0), 5))
-        with pytest.raises(ValueError, match="mesh"):
-            solve_forward(spec, other)
+        # Another resolution, and the same number of nodes on another domain.
+        for mesh in (build_mesh((0.0, 1.0), 5), build_mesh((0.0, 2.0), 4)):
+            other = interpolate_nodal(lambda x: np.zeros_like(x), mesh)
+            with pytest.raises(ValueError, match="aligned"):
+                solve_forward(spec, other)
 
 
 class TestRestriction:

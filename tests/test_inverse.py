@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from fracpot.experiments import make_observation, relative_error
+from fracpot.expressions import ExprError, parse_field_expr
 from fracpot.fem import (
     NodalField,
     build_mesh,
@@ -32,6 +33,7 @@ from fracpot.forward import solve_forward
 from fracpot.inverse import (
     DataFloorError,
     ObservationData,
+    boundary_psi,
     clamp_potential,
     compute_psi_h,
     fixed_point_update,
@@ -165,6 +167,18 @@ class TestObservationData:
             self.observation(psi_boundary=np.zeros(3))
 
 
+class TestBoundaryPsi:
+    @pytest.mark.parametrize(
+        "q",
+        [parse_field_expr("1/x"), lambda x: np.where(x > 0.0, 1.0, np.inf)],
+        ids=["expr", "callable"],
+    )
+    def test_non_finite_boundary_value_is_rejected(self, q):
+        spec = benchmark_problem_1d(cells=10)  # on (0, 10): a boundary node at x = 0
+        with pytest.raises(ExprError, match=r"non-finite value at \(0.0,\)"):
+            boundary_psi(spec, q)
+
+
 def crime_free_setup(cells=25, num_steps=20, delta=0.0, **spec_overrides):
     spec = benchmark_problem_1d(alpha=0.5, cells=cells, num_steps=num_steps, **spec_overrides)
     obs = make_observation(spec, SMOOTH_POTENTIAL, 1, delta, fine_step_factor=1)
@@ -251,5 +265,10 @@ class TestReconstruct:
     def test_observation_mesh_checked(self):
         spec, obs = crime_free_setup()
         other_spec = benchmark_problem_1d(alpha=0.5, cells=30, num_steps=20)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="aligned"):
             reconstruct(other_spec, obs)
+        # The same number of nodes on another domain.
+        mesh = build_mesh((0.0, 5.0), spec.mesh.cells_per_axis)
+        moved = ObservationData(NodalField(obs.g_delta.values, mesh), obs.psi_boundary)
+        with pytest.raises(ValueError, match="aligned"):
+            reconstruct(spec, moved)

@@ -5,7 +5,9 @@ a `_`-prefixed (module-private) name from another fracpot module: what one
 module needs from another is public API of that module.  No public name may
 exist only for the tests: each must have a use in fracpot or in perfbench.
 That check matches bare names, so a method name that several classes define
-must be listed in SHARED_METHODS with the production code that reads it.
+must be listed in SHARED_METHODS with the production code that reads it.  A
+public field of a public class counts only through an attribute read: a bare
+name of the same spelling, such as a local variable, does not read it.
 The one scipy import is the scipy package itself, in fem, which loads the CSR
 kernel's extension file without the scipy.sparse package.
 """
@@ -115,7 +117,8 @@ def layer_names() -> set:
 
 def public_definitions(module: str, tree):
     """(module.name, name, node) of each public top-level function, class and
-    constant of a module, and of each public method of its public classes."""
+    constant of a module, and of each public method and annotated field of its
+    public classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             if node.name.startswith("_"):
@@ -123,8 +126,14 @@ def public_definitions(module: str, tree):
             yield f"{module}.{node.name}", node.name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{module}.{node.name}.{item.name}", item.name, item
+                    if isinstance(item, ast.FunctionDef):
+                        name = item.name
+                    elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        name = item.target.id
+                    else:
+                        continue
+                    if not name.startswith("_"):
+                        yield f"{module}.{node.name}.{name}", name, item
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -138,8 +147,8 @@ def shared_method_names(trees: dict) -> dict:
     than one class of the module trees ({module: tree}) defines."""
     owners = {}
     for module, tree in trees.items():
-        for label, name, _ in public_definitions(module, tree):
-            if label.count(".") == 2:  # module.Class.method
+        for label, name, node in public_definitions(module, tree):
+            if label.count(".") == 2 and isinstance(node, ast.FunctionDef):  # module.Class.method
                 owners.setdefault(name, []).append(label.rsplit(".", 1)[0])
     return {name: sorted(labels) for name, labels in owners.items() if len(labels) > 1}
 
@@ -153,12 +162,16 @@ def test_shared_method_names_are_found():
 
 
 def reads(tree) -> list:
-    """(name, node id) of every name and attribute a tree reads."""
+    """(name, node id, is an attribute) of every name and attribute a tree reads."""
     return [
-        (node.id if isinstance(node, ast.Name) else node.attr, id(node))
+        (node.id, id(node), False) if isinstance(node, ast.Name) else (node.attr, id(node), True)
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     ]
+
+
+def is_field(label: str, node) -> bool:
+    return label.count(".") == 2 and isinstance(node, ast.AnnAssign)
 
 
 def test_every_public_name_has_a_production_use():
@@ -166,15 +179,19 @@ def test_every_public_name_has_a_production_use():
     __init__.py) or by the perfbench scripts, or be one of perfbench's traced
     layers; tests do not count.  A name read only inside definitions that are
     themselves unused counts as unused too.  A method name that several
-    classes define passes only through an entry of SHARED_METHODS."""
+    classes define passes only through an entry of SHARED_METHODS.  A field
+    passes only through an attribute read."""
     production = [p for p in SOURCES if p.name != "__init__.py"] + sorted(PERFBENCH.glob("*.py"))
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in production}
-    readers = {}  # name -> ids of the nodes that read it
+    readers, attribute_readers = {}, {}  # name -> ids of the nodes that read it
     for tree in trees.values():
-        for name, node_id in reads(tree):
+        for name, node_id, is_attribute in reads(tree):
             readers.setdefault(name, []).append(node_id)
+            if is_attribute:
+                attribute_readers.setdefault(name, []).append(node_id)
     definitions = [
-        (label, name, {node_id for _, node_id in reads(node)})
+        (label, (attribute_readers if is_field(label, node) else readers).get(name, []),
+         {node_id for _, node_id, _ in reads(node)})
         for path, tree in trees.items()
         if path.parent.name == "fracpot"
         for label, name, node in public_definitions(path.stem, tree)
@@ -184,10 +201,10 @@ def test_every_public_name_has_a_production_use():
     while True:
         newly = {
             label: inside
-            for label, name, inside in definitions
+            for label, name_readers, inside in definitions
             if label not in layers
             and label not in unused
-            and all(r in inside or r in dead_reads for r in readers.get(name, []))
+            and all(r in inside or r in dead_reads for r in name_readers)
         }
         if not newly:
             break

@@ -196,7 +196,7 @@ def write_field_csv(path, field: NodalField) -> None:
     mesh = field.mesh
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["node_index", "x", "value"] if mesh.dim == 1 else ["node_index", "x", "y", "value"])
+        writer.writerow(["node_index", *"xy"[: mesh.dim], "value"])
         for i in range(mesh.n_nodes):
             coords = [f"{c:.17g}" for c in mesh.node_coords[i]]
             writer.writerow([i, *coords, f"{field.values[i]:.17g}"])

@@ -23,10 +23,11 @@ import numpy as np
 
 
 class ExprError(ValueError):
-    """Parse or evaluation error, annotated with a byte offset."""
+    """Parse or evaluation error; a parse error carries the byte offset where
+    it occurs, and an evaluation error has no position."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at offset {position})")
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} (at offset {position})")
         self.position = position
 
 
@@ -214,7 +215,7 @@ def _eval(node, env):
         return node.value
     if isinstance(node, Var):
         if node.name not in env:
-            raise ExprError(f"variable {node.name!r} is not available here", 0)
+            raise ExprError(f"variable {node.name!r} is not available here")
         return env[node.name]
     if isinstance(node, Neg):
         return np.negative(_eval(node.arg, env))

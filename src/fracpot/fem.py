@@ -1,9 +1,10 @@
 """Q1 finite elements on uniform tensor-product grids in one and two dimensions.
 
-Nodes are ordered lexicographically (x fastest, then y), so the node at grid
-position (ix, iy) has flat index iy*(M+1) + ix.  All element integrals use a
-2-point Gauss rule per axis, which is exact for every integrand assembled
-here (the weighted mass integrand is at most cubic per axis).
+`grid_index` lists every grid x fastest: the nodes (the node at grid position
+(ix, iy) has flat index iy*(M+1) + ix), the cells, the corners of a cell, the
+Gauss points and the nodes a restriction keeps, so 1D and 2D share one path.
+Element integrals use a 2-point Gauss rule per axis, exact for every integrand
+assembled here (the weighted mass integrand is at most cubic per axis).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -198,6 +199,12 @@ class NodalField:
             raise ValueError("field contains non-finite values")
 
 
+def grid_index(count: int, dim: int) -> np.ndarray:
+    """The (dim, count**dim) per-axis indices of a grid with `count` points per
+    axis, listed x fastest: column k holds the axis indices of point k."""
+    return np.indices((count,) * dim).reshape(dim, -1)[::-1]
+
+
 def build_mesh(bounds: tuple[float, float], cells: int, dim: int = 1) -> Mesh:
     """Build a uniform mesh with `cells` cells per axis on the box bounds^dim."""
     if dim not in (1, 2):
@@ -211,27 +218,17 @@ def build_mesh(bounds: tuple[float, float], cells: int, dim: int = 1) -> Mesh:
     h = (b - a) / m
     axis = a + h * np.arange(m + 1)
     axis[-1] = b
-    if dim == 1:
-        coords = axis[:, None]
-        cell = np.arange(m)
-        elements = np.column_stack([cell, cell + 1])
-        on_boundary = np.zeros(m + 1, dtype=bool)
-        on_boundary[[0, m]] = True
-    else:
-        xs, ys = np.meshgrid(axis, axis, indexing="xy")
-        coords = np.column_stack([xs.ravel(), ys.ravel()])
-        ex, ey = np.meshgrid(np.arange(m), np.arange(m), indexing="xy")
-        n00 = (ey * (m + 1) + ex).ravel()
-        elements = np.column_stack([n00, n00 + 1, n00 + m + 1, n00 + m + 2])
-        ix, iy = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="xy")
-        on_boundary = ((ix == 0) | (ix == m) | (iy == 0) | (iy == m)).ravel()
+    nodes = grid_index(m + 1, dim)
+    stride = (m + 1) ** np.arange(dim)
+    elements = (stride @ grid_index(m, dim))[:, None] + stride @ grid_index(2, dim)
+    on_boundary = ((nodes == 0) | (nodes == m)).any(axis=0)
     return Mesh(
         dim=dim,
         bounds=(a, b),
         cells_per_axis=m,
         h=h,
-        node_coords=coords,
-        elements=elements.astype(np.int64),
+        node_coords=axis[nodes.T],
+        elements=elements,
         boundary_nodes=np.flatnonzero(on_boundary),
         interior_nodes=np.flatnonzero(~on_boundary),
     )
@@ -240,17 +237,17 @@ def build_mesh(bounds: tuple[float, float], cells: int, dim: int = 1) -> Mesh:
 def evaluate_at(func: Callable, coords: np.ndarray) -> np.ndarray:
     """Evaluate a scalar function of space at the rows of an (n, dim) point array.
 
-    The one place that calls a field: a constant result is broadcast to every
-    point, and a non-finite value is an ExprError naming the field and the
-    first point where it occurs.
+    The function is called once with one coordinate array per axis,
+    `func(x)` in 1D and `func(x, y)` in 2D.  This is the one place that calls
+    a field: a constant result is broadcast to every point, and a non-finite
+    value is an ExprError naming the field and the first point where it occurs.
     """
-    x = coords[:, 0]
-    raw = func(x) if coords.shape[1] == 1 else func(x, coords[:, 1])
-    vals = np.array(np.broadcast_to(np.asarray(raw, dtype=float), x.shape))
+    raw = func(*coords.T)
+    vals = np.array(np.broadcast_to(np.asarray(raw, dtype=float), coords.shape[:1]))
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         where = tuple(coords[bad[0]].tolist())
-        raise ExprError(f"{str(func)!r} evaluates to a non-finite value at {where}", 0)
+        raise ExprError(f"{str(func)!r} evaluates to a non-finite value at {where}")
     return vals
 
 
@@ -265,21 +262,22 @@ def _reference_arrays(dim: int, h: float):
     Returns (phi, dphi, wq, ref_pts): phi is (n_shapes, n_pts), dphi is
     (dim, n_shapes, n_pts), wq the quadrature weights scaled by cell volume,
     ref_pts the (n_pts, dim) point coordinates on the reference cell [0,1]^dim.
+    Shapes and points are both listed by grid_index(2, dim), and each array is
+    the product over the axes of its 1D factors, x first.
     """
     g, w = _GAUSS_PTS, _GAUSS_WTS
-    vals1 = np.stack([1.0 - g, g])
-    ders1 = np.stack([-np.ones_like(g), np.ones_like(g)])
-    if dim == 1:
-        return vals1, (ders1 / h)[None], h * w, g[:, None]
-    ax = np.array([0, 1, 0, 1])
-    ay = np.array([0, 0, 1, 1])
-    px, py = [idx.ravel() for idx in np.meshgrid([0, 1], [0, 1], indexing="xy")]
-    phi = vals1[ax][:, px] * vals1[ay][:, py]
-    dx = (ders1 / h)[ax][:, px] * vals1[ay][:, py]
-    dy = vals1[ax][:, px] * (ders1 / h)[ay][:, py]
-    wq = (h * w)[px] * (h * w)[py]
-    ref_pts = np.column_stack([g[px], g[py]])
-    return phi, np.stack([dx, dy]), wq, ref_pts
+    vals = np.stack([1.0 - g, g])
+    ders = np.stack([-np.ones_like(g), np.ones_like(g)]) / h
+    local = grid_index(2, dim)
+
+    def product(factors):
+        # f[b][:, b], not f[np.ix_(b, b)]: einsum's sum order follows the layout
+        return reduce(np.multiply, [f[b][:, b] for f, b in zip(factors, local)])
+
+    phi = product([vals] * dim)
+    dphi = np.stack([product([ders if j == k else vals for j in range(dim)]) for k in range(dim)])
+    wq = reduce(np.multiply, [(h * w)[b] for b in local])
+    return phi, dphi, wq, g[local.T]
 
 
 def _scatter(local: np.ndarray, mesh: Mesh) -> np.ndarray:

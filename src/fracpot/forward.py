@@ -37,6 +37,8 @@ from .fem import (
     NodalField,
     assemble_load,
     csr_matvec,
+    evaluate_at,
+    grid_index,
     interpolate_nodal,
     stiffness_matrix,
     weighted_mass_matrix,
@@ -95,9 +97,8 @@ class ProblemSpec:
             raise ValueError("max_iter must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        bb = self.mesh.boundary_nodes
-        v_b = interpolate_nodal(self.v_expr, self.mesh).values[bb]
-        b_b = interpolate_nodal(self.b_expr, self.mesh).values[bb]
+        boundary = self.mesh.node_coords[self.mesh.boundary_nodes]
+        v_b, b_b = evaluate_at(self.v_expr, boundary), evaluate_at(self.b_expr, boundary)
         if not np.allclose(v_b, b_b, rtol=1e-12, atol=1e-12):
             raise ValueError("initial value must match the boundary value on the boundary")
 
@@ -222,9 +223,6 @@ def restrict_to_mesh(field: NodalField, coarse: Mesh) -> NodalField:
         raise ValueError(
             f"meshes are not nested: {fine.cells_per_axis} cells over {coarse.cells_per_axis}"
         )
-    axis_idx = factor * np.arange(coarse.cells_per_axis + 1)
-    if coarse.dim == 1:
-        idx = axis_idx
-    else:
-        idx = (axis_idx[:, None] * (fine.cells_per_axis + 1) + axis_idx[None, :]).ravel()
+    stride = (fine.cells_per_axis + 1) ** np.arange(coarse.dim)
+    idx = stride @ (factor * grid_index(coarse.cells_per_axis + 1, coarse.dim))
     return NodalField(field.values[idx].copy(), coarse)

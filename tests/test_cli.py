@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fracpot import forward
 from fracpot.cli import _build_parser, load_config, main
 from fracpot.experiments import make_observation, read_field_csv, relative_error, write_field_csv
 from fracpot.fem import build_mesh, interpolate_nodal
@@ -272,6 +273,15 @@ class TestConfigErrors:
         assert "configuration error: '1/x' evaluates to a non-finite value" in err
         assert "Traceback" not in err
 
+    def test_evaluation_error_ends_with_the_point(self, tmp_path, capsys):
+        # An evaluation error has no offset in the expression to report.
+        fields = {"v": "1", "b": "1", "f": "1/x"}
+        config = write_config(tmp_path, fields=fields, domain={"a": 0.0, "b": 1.0, "cells": 10})
+        assert main(["forward", "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.endswith("'1/x' evaluates to a non-finite value at (0.0,)")
+        assert "offset" not in err
+
     def test_inconsistent_problem_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, alpha=1.5)
         assert main(["forward", "--config", str(config), "--out", str(tmp_path)]) == 2
@@ -461,6 +471,15 @@ def test_example_config_loads_its_study(name, overrides, problem, params, truth,
     if "q0" in loaded and loaded["q0"] is not None:
         loaded["q0"] = str(loaded["q0"])
     assert loaded == settings
+
+
+def test_loading_samples_no_field_over_the_mesh(monkeypatch):
+    # Each spec checks v against b at the boundary nodes alone; the nodal
+    # fields are sampled once, when the spec's discretization is first built.
+    calls = []
+    monkeypatch.setattr(forward, "interpolate_nodal", lambda *args: calls.append(args))
+    load_config(CONFIGS / "sweep_smooth.json", argparse.Namespace())
+    assert calls == []
 
 
 def test_module_entry_point_runs(tmp_path):

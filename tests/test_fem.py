@@ -242,6 +242,90 @@ class TestScatterOracle:
             assert block_map.take.dtype == np.intp  # data[take] casts no index
 
 
+def reference_mesh(bounds, m, dim):
+    """build_mesh written out per dimension, as it stood before grid_index."""
+    a, b = bounds
+    h = (b - a) / m
+    axis = a + h * np.arange(m + 1)
+    axis[-1] = b
+    if dim == 1:
+        coords = axis[:, None]
+        cell = np.arange(m)
+        elements = np.column_stack([cell, cell + 1])
+        on_boundary = np.zeros(m + 1, dtype=bool)
+        on_boundary[[0, m]] = True
+    else:
+        xs, ys = np.meshgrid(axis, axis, indexing="xy")
+        coords = np.column_stack([xs.ravel(), ys.ravel()])
+        ex, ey = np.meshgrid(np.arange(m), np.arange(m), indexing="xy")
+        n00 = (ey * (m + 1) + ex).ravel()
+        elements = np.column_stack([n00, n00 + 1, n00 + m + 1, n00 + m + 2])
+        ix, iy = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="xy")
+        on_boundary = ((ix == 0) | (ix == m) | (iy == 0) | (iy == m)).ravel()
+    return Mesh(
+        dim=dim,
+        bounds=(a, b),
+        cells_per_axis=m,
+        h=h,
+        node_coords=coords,
+        elements=elements.astype(np.int64),
+        boundary_nodes=np.flatnonzero(on_boundary),
+        interior_nodes=np.flatnonzero(~on_boundary),
+    )
+
+
+def reference_arrays(dim, h):
+    """fem._reference_arrays written out per dimension, as it stood before
+    grid_index."""
+    g, w = fem._GAUSS_PTS, fem._GAUSS_WTS
+    vals1 = np.stack([1.0 - g, g])
+    ders1 = np.stack([-np.ones_like(g), np.ones_like(g)])
+    if dim == 1:
+        return vals1, (ders1 / h)[None], h * w, g[:, None]
+    ax = np.array([0, 1, 0, 1])
+    ay = np.array([0, 0, 1, 1])
+    px, py = [idx.ravel() for idx in np.meshgrid([0, 1], [0, 1], indexing="xy")]
+    phi = vals1[ax][:, px] * vals1[ay][:, py]
+    dx = (ders1 / h)[ax][:, px] * vals1[ay][:, py]
+    dy = vals1[ax][:, px] * (ders1 / h)[ay][:, py]
+    wq = (h * w)[px] * (h * w)[py]
+    ref_pts = np.column_stack([g[px], g[py]])
+    return phi, np.stack([dx, dy]), wq, ref_pts
+
+
+class TestTensorOracle:
+    """The grid_index path reproduces the per-dimension bodies bit for bit.
+
+    The operators are compared as assembled data, not only as reference
+    arrays: einsum's sum order follows its operands' memory layout, so equal
+    reference arrays in another layout can still change the last bits."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("cells", [2, 3, 30, 90])
+    def test_mesh_and_operators_equal_the_per_dimension_path(self, monkeypatch, dim, cells):
+        bounds = (0.0, 3.0)
+        mesh, reference = build_mesh(bounds, cells, dim), reference_mesh(bounds, cells, dim)
+        for name in ("node_coords", "elements", "boundary_nodes", "interior_nodes"):
+            new, old = getattr(mesh, name), getattr(reference, name)
+            assert new.dtype == old.dtype, name
+            np.testing.assert_array_equal(new, old, err_msg=name)
+        q = np.random.default_rng(cells).uniform(0.0, 5.0, mesh.n_nodes)
+        f = parse_field_expr("exp(x) * cos(3*x)" if dim == 1 else "exp(x) * cos(3*y) + x*y")
+
+        def operators(mesh):
+            return [
+                mass_matrix(mesh),
+                stiffness_matrix(mesh),
+                weighted_mass_matrix(mesh, NodalField(q, mesh)),
+                assemble_load(mesh, f),
+            ]
+
+        new = operators(mesh)
+        monkeypatch.setattr(fem, "_reference_arrays", reference_arrays)
+        for name, a, b in zip(["M", "S", "M_q", "load"], new, operators(reference)):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+
 class TestSharedArrays:
     """The pattern, both block maps and M are shared by every operator, system
     and caller of a mesh, and prepare_spd keeps what it is given: an in-place

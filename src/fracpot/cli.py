@@ -1,8 +1,9 @@
 """Command line driver: forward solves, reconstructions, sweeps, histories.
 
 Exit codes: 0 on success, 2 for configuration or expression errors, 3 for
-numerical failures (linear solver stall, data floor violation, or an invert
-or history run that exhausts its iteration budget).
+numerical failures (linear solver stall, data floor violation, out of memory,
+an invert or history run that exhausts its iteration budget, or a sweep whose
+every row failed, an exhausted budget included).
 """
 
 from __future__ import annotations
@@ -314,6 +315,9 @@ def main(argv=None) -> int:
         return 2
     except (SolveFailure, DataFloorError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

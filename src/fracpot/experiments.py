@@ -135,8 +135,9 @@ def rate_sweep(
     Per (alpha, delta): cells = round((b-a)/delta^(1/3)), steps =
     round(10/delta^(1/3)), data from make_observation, then reconstruct and
     record the relative error.  Row i draws its noise from seed
-    template.seed + i.  Failed rows are kept with e_q = nan.  The returned
-    table carries one fitted log-log slope per alpha.
+    template.seed + i.  A failed row names its failure and logs a warning; it
+    keeps e_q if it exhausts max_iter, and has e_q = nan otherwise.  The table
+    carries one log-log slope per alpha, fitted to the rows with finite e_q.
     """
     deltas = descending_noise_levels(deltas)
     a, b = template.mesh.bounds
@@ -157,24 +158,20 @@ def rate_sweep(
                 _auto_fine_factor(steps, dim) if fine_step_factor is None else fine_step_factor
             )
             start = time.perf_counter()
+            failure = None
             try:
                 obs = make_observation(spec, q_true, factor, delta, fine_step_factor=step_factor)
                 result = reconstruct(spec, obs)
-                e_q = relative_error(result.q_star, q_true, mesh)
-                rows.append(
-                    RateRow(
-                        delta, mesh.h, spec.tau, alpha, e_q,
-                        result.iterations, time.perf_counter() - start,
-                    )
-                )
-            except (SolveFailure, DataFloorError) as exc:
-                logger.warning("sweep row (alpha=%g, delta=%g) failed: %s", alpha, delta, exc)
-                rows.append(
-                    RateRow(
-                        delta, mesh.h, spec.tau, alpha, float("nan"),
-                        0, time.perf_counter() - start, str(exc),
-                    )
-                )
+                e_q, iterations = relative_error(result.q_star, q_true, mesh), result.iterations
+                if not result.converged:
+                    failure = f"iteration budget of {iterations} exhausted before the tolerance"
+            except (SolveFailure, DataFloorError, MemoryError) as exc:
+                e_q, iterations = float("nan"), 0
+                failure = f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
+            runtime = time.perf_counter() - start
+            if failure is not None:
+                logger.warning("sweep row (alpha=%g, delta=%g) failed: %s", alpha, delta, failure)
+            rows.append(RateRow(delta, mesh.h, spec.tau, alpha, e_q, iterations, runtime, failure))
             logger.info(
                 "sweep row alpha=%g delta=%g: e_q=%.4e after %d iterations (%.1fs)",
                 alpha, delta, rows[-1].e_q, rows[-1].iterations, rows[-1].runtime_s,

@@ -67,13 +67,13 @@ class Mesh:
         (0,0), (1,0), (0,1), (1,1) in local x-fastest convention
     boundary_nodes, interior_nodes : sorted index arrays partitioning nodes
     pattern, mass : the Q1 sparsity pattern and the data of the mass matrix M
-    interior_block, interior_rows : BlockMaps of the interior x interior
-        block and of the interior rows (every column) of the Q1 pattern
+    interior_block : the BlockMap of the interior x interior block
 
-    The last four depend on the mesh alone; each is built on first use and
+    The last three depend on the mesh alone; each is built on first use and
     kept with the mesh.  An operator of the mesh (M, S, every M_q) is its data
-    array in the pattern, and the maps cut each of them.  The arrays of the
-    pattern, of the maps and of M are shared, so they are read-only.
+    array in the pattern; `product` multiplies by it, and the solver's interior
+    block is its one cut.  The shared arrays of the pattern, the block and M
+    are read-only.
     """
 
     dim: int
@@ -110,11 +110,13 @@ class Mesh:
 
     @cached_property
     def interior_block(self) -> BlockMap:
-        return BlockMap.cut(self.pattern, self.interior_nodes, self.interior_nodes)
+        return BlockMap.cut(self.pattern, self.interior_nodes)
 
-    @cached_property
-    def interior_rows(self) -> BlockMap:
-        return BlockMap.cut(self.pattern, self.interior_nodes, np.arange(self.n_nodes))
+    def product(self, data: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(the operator with data `data`) v at every node, into `out` if given.
+        Read at some nodes, it is bitwise the product of those rows alone."""
+        out = np.empty(self.n_nodes) if out is None else out
+        return csr_matvec(self.pattern.indptr, self.pattern.indices, data, v, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,13 +130,12 @@ class Pattern:
 
 @dataclass(frozen=True, eq=False)
 class BlockMap:
-    """The CSR structure of the block rows x cols of the matrices of one
-    pattern, and the positions in the pattern's data its entries come from.
+    """The CSR structure of the square block nodes x nodes of the matrices of
+    one pattern, and the positions in the pattern's data its entries come from.
 
-    rows and cols are sorted node lists, so for a matrix `a` of the pattern
-    with data `data`, (indptr, indices, data[take]) are the CSR arrays of
-    scipy's fancy-indexed block `a[rows][:, cols]`, and `matvec` computes its
-    product bit for bit.
+    nodes is a sorted node list, so for a matrix `a` of the pattern with data
+    `data`, (indptr, indices, data[take]) are the CSR arrays of scipy's
+    fancy-indexed block `a[np.ix_(nodes, nodes)]`.
     """
 
     indptr: np.ndarray  # int32
@@ -142,24 +143,18 @@ class BlockMap:
     take: np.ndarray  # intp positions in the pattern's data, in block order
 
     @classmethod
-    def cut(cls, pattern: Pattern, rows: np.ndarray, cols: np.ndarray) -> BlockMap:
+    def cut(cls, pattern: Pattern, nodes: np.ndarray) -> BlockMap:
         n = pattern.indptr.size - 1
-        number = np.full(n, -1, dtype=np.int32)  # block column number, -1 outside cols
-        number[cols] = np.arange(cols.size, dtype=np.int32)
-        in_rows = np.zeros(n, dtype=bool)
-        in_rows[rows] = True
-        keep = np.repeat(in_rows, np.diff(pattern.indptr))
+        number = np.full(n, -1, dtype=np.int32)  # block number, -1 outside nodes
+        number[nodes] = np.arange(nodes.size, dtype=np.int32)
+        keep = np.repeat(number >= 0, np.diff(pattern.indptr))
         keep &= number[pattern.indices] >= 0
         # Kept entries up to the end of each row; no row of a Q1 pattern is empty.
-        indptr = np.zeros(rows.size + 1, dtype=np.int32)
-        indptr[1:] = np.cumsum(keep, dtype=np.int32)[pattern.indptr[rows + 1] - 1]
+        indptr = np.zeros(nodes.size + 1, dtype=np.int32)
+        indptr[1:] = np.cumsum(keep, dtype=np.int32)[pattern.indptr[nodes + 1] - 1]
         # intp, so that data[take] gathers with no cast and no copy of the index
         take = np.flatnonzero(keep)
         return cls(*_read_only(indptr, number[pattern.indices[take]], take))
-
-    def matvec(self, data: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = (the block of the matrix with data `data`) v."""
-        return csr_matvec(self.indptr, self.indices, data[self.take], v, out)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -332,6 +327,4 @@ def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
 
 def mass_norm(values: np.ndarray, mesh: Mesh) -> float:
     """FE L2 norm sqrt(v^T M v) of nodal values, with the mesh's mass matrix M."""
-    pattern = mesh.pattern
-    product = csr_matvec(pattern.indptr, pattern.indices, mesh.mass, values, np.empty(values.size))
-    return float(np.sqrt(max(values @ product, 0.0)))
+    return float(np.sqrt(max(values @ mesh.product(mesh.mass, values), 0.0)))

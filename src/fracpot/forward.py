@@ -6,16 +6,17 @@ per march and solved by CG at every step, where the right-hand side carries
 the convolution-quadrature history.  Boundary nodes are pinned to the
 interpolated boundary data.
 
-The Q1 pattern, M and the maps that cut blocks out of the pattern depend on
-the mesh alone and are kept by the mesh.  Everything else that does not
-depend on the potential (tau^{-alpha} b_0 M + S, M's interior rows, the load,
-nodal f, boundary data, u^0 and the CQ weights) is built once per ProblemSpec,
-on first use, as its `discretization`.  A forward solve scatters only M_q,
-adds its data to that of the potential-independent part and gathers the
-interior block; every product then runs scipy's CSR kernel on preallocated
-buffers, with no sparse-matrix operator in the march.  A march holds exactly
-(N+1) * n_nodes * 8 bytes of history and no second copy of it; the history is
-local to the march, which returns u^N and dbar^alpha u^N alone.
+The Q1 pattern, M and the map of the interior block depend on the mesh alone
+and are kept by the mesh.  Everything else that does not depend on the
+potential (tau^{-alpha} b_0 M + S, the load, nodal f, boundary data, u^0 and
+the CQ weights) is built once per ProblemSpec, on first use, as its
+`discretization`.  A forward solve scatters only M_q, adds its data to that
+of the potential-independent part and gathers the interior block for the
+solver; every other product is `mesh.product` on the whole pattern into one
+preallocated buffer, read at the interior nodes, with no sparse-matrix
+operator in the march.  A march holds exactly (N+1) * n_nodes * 8 bytes of
+history and no second copy of it; the history is local to the march, which
+returns u^N and dbar^alpha u^N alone.
 The terminal derivative dbar^alpha u^N comes from the last step itself: that
 step already forms the history part of the convolution, so
 dbar^alpha u^N = tau^{-alpha} (u^N + past_N) on interior nodes, and it is
@@ -36,7 +37,6 @@ from .fem import (
     Mesh,
     NodalField,
     assemble_load,
-    csr_matvec,
     evaluate_at,
     grid_index,
     interpolate_nodal,
@@ -111,13 +111,12 @@ class ProblemSpec:
         """The potential-independent part of the scheme, built on first use.
 
         It lives in the instance, so `dataclasses.replace` gives a new spec
-        with a setup of its own, which shares the mesh's pattern, M and maps.
+        with a setup of its own, which shares the mesh's pattern, M and block.
         """
         mesh = self.mesh
         ii, bb = mesh.interior_nodes, mesh.boundary_nodes
         scale = self.tau ** (-self.alpha)
         w = cq_weights(self.alpha, self.num_steps)
-        mass, rows = mesh.mass, mesh.interior_rows
         boundary = interpolate_nodal(self.b_expr, mesh).values[bb]
         u0 = interpolate_nodal(self.v_expr, mesh).values
         u0[bb] = boundary
@@ -127,8 +126,7 @@ class ProblemSpec:
             partial=np.cumsum(w),
             # (s M) + S entry by entry, as scipy adds them, except that an
             # entry that cancels to exactly 0 stays in the pattern.
-            base_data=(scale * w[0]) * mass + stiffness_matrix(mesh),
-            mass_int=(rows.indptr, rows.indices, mass[rows.take]),
+            base_data=(scale * w[0]) * mesh.mass + stiffness_matrix(mesh),
             load_int=assemble_load(mesh, self.f_expr)[ii],
             f_nodes=interpolate_nodal(self.f_expr, mesh).values,
             boundary_values=boundary,
@@ -139,7 +137,7 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class Discretization:
     """Operators and data of a ProblemSpec that do not depend on the potential,
-    beyond the pattern, M and the block maps, which its mesh keeps.
+    beyond the pattern, M and the interior block, which its mesh keeps.
 
     weights_reversed holds b_N, ..., b_1, b_0 in one contiguous array, so the
     history convolution of step n is the BLAS product of its slice
@@ -150,7 +148,6 @@ class Discretization:
     weights_reversed: np.ndarray
     partial: np.ndarray
     base_data: np.ndarray  # data of tau^{-alpha} b_0 M + S in the mesh's Q1 pattern
-    mass_int: tuple[np.ndarray, np.ndarray, np.ndarray]  # CSR arrays of M's interior rows
     load_int: np.ndarray  # interior entries of the load (f, phi_i)
     f_nodes: np.ndarray  # nodal interpolant of f
     boundary_values: np.ndarray  # b at the boundary nodes
@@ -187,12 +184,12 @@ def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
     history[0] = setup.u0
     history[1:, bb] = setup.boundary_values
     u0 = history[0]
+    product = np.empty(mesh.n_nodes)  # every node of one product; the interior is read
     # Until step 1 writes it, history[1] is b on the boundary and 0 inside.
-    rhs = np.empty(ii.size)  # holds A_ib b, then each step's right-hand side
-    rhs_base = setup.load_int - mesh.interior_rows.matvec(data, history[1], rhs)
-    mass_past = np.empty(ii.size)
+    rhs_base = setup.load_int - mesh.product(data, history[1], product)[ii]
+    rhs, mass_past = np.empty(ii.size), np.empty(ii.size)
     scale, weights_reversed, partial = setup.scale, setup.weights_reversed, setup.partial
-    mass_int = setup.mass_int
+    mass = mesh.mass
 
     x = setup.u0[ii]
     # Data that overflow at this time step are reported below, by name.
@@ -201,7 +198,8 @@ def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
             # past = sum_{j>=1} b_j u^{n-j} - (b_0 + ... + b_n) u^0
             past = weights_reversed[n_steps - n : n_steps] @ history[:n]
             past -= partial[n] * u0
-            csr_matvec(*mass_int, past, mass_past)
+            # The method, not np.take: its dispatch costs more than this read.
+            mesh.product(mass, past, product).take(ii, out=mass_past)
             mass_past *= scale
             np.subtract(rhs_base, mass_past, out=rhs)
             x, report = solve_spd(system_ii, rhs, x0=x)

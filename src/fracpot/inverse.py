@@ -63,8 +63,8 @@ def compute_psi_h(mesh: Mesh, g_delta: NodalField, psi_boundary: np.ndarray) -> 
 
     Interior values solve the mass system (psi, phi) = -(grad I_h g, grad phi)
     over interior test functions; boundary values are prescribed.  (S g)_i and
-    M_ib psi_b are products with the mesh's interior rows, on g and on psi_b
-    padded with 0 inside; the mass system is cut by its interior block.
+    M_ib psi_b are mesh products, on g and on psi_b padded with 0 inside, read
+    at the interior nodes; the mass system is cut by its interior block.
     """
     if not g_delta.mesh.matches(mesh):
         raise ValueError("data is not aligned with the mesh")
@@ -72,12 +72,12 @@ def compute_psi_h(mesh: Mesh, g_delta: NodalField, psi_boundary: np.ndarray) -> 
     psi_b = np.asarray(psi_boundary, dtype=float)
     if psi_b.shape != bb.shape:
         raise ValueError("psi_boundary must carry one value per boundary node")
-    mass, rows, block = mesh.mass, mesh.interior_rows, mesh.interior_block
+    mass, block = mesh.mass, mesh.interior_block
     full = np.zeros(mesh.n_nodes)
     full[bb] = psi_b
     with np.errstate(over="ignore"):
-        rhs = -rows.matvec(stiffness_matrix(mesh), g_delta.values, np.empty(ii.size))
-        rhs -= rows.matvec(mass, full, np.empty(ii.size))
+        rhs = -mesh.product(stiffness_matrix(mesh), g_delta.values)[ii]
+        rhs -= mesh.product(mass, full)[ii]
         interior, report = solve_spd(prepare_spd(block.indptr, block.indices, mass[block.take]), rhs)
         if not report.converged:
             raise solve_failure("mass solve for the data Laplacian", report, rhs)

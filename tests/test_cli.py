@@ -8,6 +8,9 @@ point the way a shell invocation would.
 
 import argparse
 import json
+import logging
+import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +191,15 @@ class TestSweepAndHistory:
         config = self.sweep_config(tmp_path, M2_floor=10.0)
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 3
         assert "every sweep row failed" in capsys.readouterr().err
+
+    def test_sweep_row_that_exhausts_its_budget_is_a_failed_row(self, tmp_path, capsys, caplog):
+        config = self.sweep_config(tmp_path, deltas=[1e-2], max_iter=1)
+        with caplog.at_level(logging.WARNING, logger="fracpot.experiments"):
+            assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 3
+        assert "every sweep row failed" in capsys.readouterr().err
+        assert "iteration budget of 1 exhausted" in caplog.text
+        row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert row[5] == "1" and math.isfinite(float(row[4]))  # iterations, e_q kept
 
     def test_history_traces_errors(self, tmp_path, capsys):
         config = write_config(tmp_path, fine_factor=1)
@@ -395,6 +407,27 @@ class TestConfigErrors:
         assert proc.returncode == 3
         assert "time step 1/10: the right-hand side has a non-finite norm" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+def test_out_of_memory_exits_3_with_one_line(tmp_path):
+    # 10,000 cells x 100,000 steps: an 8.0 GB history against a 2 GiB address
+    # space, so its allocation fails at once and nothing of it is allocated.
+    config = write_config(tmp_path, num_steps=100_000, domain={"cells": 10_000})
+    limit = 2 << 30
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from fracpot.cli import main\n"
+        f"sys.exit(main(['forward', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}]))\n"
+    )
+    # One BLAS thread, so that thread buffers do not take the address space.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("out of memory: Unable to allocate")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "terminal.csv").exists()
 
 
 LOADER_KEYS = (

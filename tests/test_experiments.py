@@ -254,6 +254,34 @@ class TestRateSweep:
             assert "floor" in row.failure
         assert math.isnan(table.slopes[0.5])
 
+    def test_rows_that_exhaust_the_budget_keep_their_errors(self, caplog):
+        template = benchmark_problem_1d(max_iter=1)
+        with caplog.at_level("WARNING", logger="fracpot.experiments"):
+            table = rate_sweep(
+                template, SMOOTH_POTENTIAL, [1e-2, 1e-3], [0.5],
+                fine_factor=1, fine_step_factor=1,
+            )
+        assert caplog.text.count("iteration budget of 1 exhausted") == 2
+        for row in table.rows:
+            assert row.failure == "iteration budget of 1 exhausted before the tolerance"
+            assert row.iterations == 1 and math.isfinite(row.e_q)
+        # The slope still fits every row with a finite error.
+        log_d = np.log([r.delta for r in table.rows])
+        log_e = np.log([r.e_q for r in table.rows])
+        assert table.slopes[0.5] == float(np.polyfit(log_d, log_e, 1)[0])
+
+    def test_out_of_memory_is_a_failed_row(self, monkeypatch, caplog):
+        def allocate(*args):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setattr(experiments, "solve_forward", allocate)
+        with caplog.at_level("WARNING", logger="fracpot.experiments"):
+            table = rate_sweep(benchmark_problem_1d(), SMOOTH_POTENTIAL, [1e-2], [0.5])
+        (row,) = table.rows
+        assert row.failure == "out of memory: Unable to allocate 8.00 GiB"
+        assert math.isnan(row.e_q) and row.iterations == 0
+        assert "out of memory" in caplog.text
+
 
 class TestConvergenceHistory:
     def history(self, q0=None):

@@ -234,12 +234,26 @@ class TestScatterOracle:
         ii = mesh.interior_nodes
         stiff = stiffness_matrix(mesh)
         matrix = csr(mesh, stiff)
-        blocks = [(mesh.interior_block, matrix[np.ix_(ii, ii)]), (mesh.interior_rows, matrix[ii])]
-        for block_map, expected in blocks:
-            np.testing.assert_array_equal(block_map.indptr, expected.indptr)
-            np.testing.assert_array_equal(block_map.indices, expected.indices)
-            np.testing.assert_array_equal(stiff[block_map.take], expected.data)
-            assert block_map.take.dtype == np.intp  # data[take] casts no index
+        block, expected = mesh.interior_block, matrix[np.ix_(ii, ii)]
+        np.testing.assert_array_equal(block.indptr, expected.indptr)
+        np.testing.assert_array_equal(block.indices, expected.indices)
+        np.testing.assert_array_equal(stiff[block.take], expected.data)
+        assert block.take.dtype == np.intp  # data[take] casts no index
+
+    @SCATTER_MESHES
+    def test_product_at_the_interior_is_the_interior_rows_product(self, dim, cells):
+        """Read at the interior nodes, the mesh product is bitwise the product
+        with scipy's fancy-indexed interior rows, which is what the march and
+        compute_psi_h read of it."""
+        mesh = build_mesh((0.0, 1.0), cells, dim)
+        ii = mesh.interior_nodes
+        rng = np.random.default_rng(cells)
+        v = rng.standard_normal(mesh.n_nodes)
+        q = NodalField(rng.uniform(0.0, 5.0, mesh.n_nodes), mesh)
+        for data in (stiffness_matrix(mesh), weighted_mass_matrix(mesh, q)):
+            out = np.full(mesh.n_nodes, np.nan)
+            assert mesh.product(data, v, out) is out
+            np.testing.assert_array_equal(out[ii], csr(mesh, data)[ii] @ v)
 
 
 def reference_mesh(bounds, m, dim):
@@ -327,22 +341,21 @@ class TestTensorOracle:
 
 
 class TestSharedArrays:
-    """The pattern, both block maps and M are shared by every operator, system
+    """The pattern, the interior block and M are shared by every operator, system
     and caller of a mesh, and prepare_spd keeps what it is given: an in-place
     write into any of them must fail."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_in_place_writes_raise(self, dim):
         mesh = build_mesh((0.0, 1.0), 4, dim)
-        owners = {"pattern": mesh.pattern, "interior_block": mesh.interior_block,
-                  "interior_rows": mesh.interior_rows}
+        owners = {"pattern": mesh.pattern, "interior_block": mesh.interior_block}
         arrays = {
             f"{owner}.{field.name}": getattr(obj, field.name)
             for owner, obj in owners.items()
             for field in dataclasses.fields(obj)
         }
         arrays["mass"] = mesh.mass
-        assert len(arrays) == 10
+        assert len(arrays) == 7
         assert [name for name, array in arrays.items() if array.flags.writeable] == []
         for array in arrays.values():
             with pytest.raises(ValueError, match="read-only"):

@@ -287,13 +287,12 @@ class TestSetupLifetime:
         assert changed.mesh.pattern is spec.mesh.pattern
         assert changed.mesh.mass is spec.mesh.mass
         assert changed.mesh.interior_block is spec.mesh.interior_block
-        assert changed.mesh.interior_rows is spec.mesh.interior_rows
         assert len(calls) == 1
 
     def test_the_march_keeps_no_history(self):
         spec, q = small_2d()
         spec = dataclasses.replace(spec, num_steps=40, T=40 * spec.tau)
-        solve_forward(spec, q)  # builds the spec's setup and the mesh's block maps
+        solve_forward(spec, q)  # builds the spec's setup and the mesh's interior block
         tracemalloc.start()
         try:
             solution = solve_forward(spec, q)

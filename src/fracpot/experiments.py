@@ -240,14 +240,15 @@ def write_history_csv(path, errors, increments) -> None:
 
 
 def write_sweep_csv(path, table: RateTable) -> None:
-    """Dump delta,h,tau,alpha,e_q,iterations,runtime_s rows."""
+    """Dump delta,h,tau,alpha,e_q,iterations,runtime_s,failure rows; failure is
+    empty for a good row."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["delta", "h", "tau", "alpha", "e_q", "iterations", "runtime_s"])
+        writer.writerow(["delta", "h", "tau", "alpha", "e_q", "iterations", "runtime_s", "failure"])
         for r in table.rows:
             writer.writerow(
                 [
                     f"{r.delta:.17g}", f"{r.h:.17g}", f"{r.tau:.17g}", f"{r.alpha:.17g}",
-                    f"{r.e_q:.17g}", r.iterations, f"{r.runtime_s:.17g}",
+                    f"{r.e_q:.17g}", r.iterations, f"{r.runtime_s:.17g}", r.failure or "",
                 ]
             )

@@ -66,14 +66,15 @@ class Mesh:
     elements : (n_elements, 2**dim) corner node indices per cell, ordered
         (0,0), (1,0), (0,1), (1,1) in local x-fastest convention
     boundary_nodes, interior_nodes : sorted index arrays partitioning nodes
-    pattern, mass : the Q1 sparsity pattern and the data of the mass matrix M
+    reference : (phi, dphi, wq, ref_pts), the Gauss tables of the reference cell
+    pattern, mass, stiffness : the Q1 sparsity pattern and the data of M and S
     interior_block : the BlockMap of the interior x interior block
 
-    The last three depend on the mesh alone; each is built on first use and
+    The last five depend on the mesh alone; each is built on first use and
     kept with the mesh.  An operator of the mesh (M, S, every M_q) is its data
     array in the pattern; `product` multiplies by it, and the solver's interior
-    block is its one cut.  The shared arrays of the pattern, the block and M
-    are read-only.
+    block is its one cut.  The shared arrays of the reference cell, the
+    pattern, the block, M and S are read-only.
     """
 
     dim: int
@@ -98,6 +99,30 @@ class Mesh:
         )
 
     @cached_property
+    def reference(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Shape values/physical gradients at tensor Gauss points, plus weights.
+
+        (phi, dphi, wq, ref_pts): phi is (n_shapes, n_pts), dphi is
+        (dim, n_shapes, n_pts), wq the quadrature weights scaled by cell volume,
+        ref_pts the (n_pts, dim) point coordinates on the reference cell
+        [0,1]^dim.  Shapes and points are both listed by grid_index(2, dim), and
+        each array is the product over the axes of its 1D factors, x first.
+        """
+        g, w, h, dim = _GAUSS_PTS, _GAUSS_WTS, self.h, self.dim
+        vals = np.stack([1.0 - g, g])
+        ders = np.stack([-np.ones_like(g), np.ones_like(g)]) / h
+        local = grid_index(2, dim)
+
+        def product(factors):
+            # f[b][:, b], not f[np.ix_(b, b)]: einsum's sum order follows the layout
+            return reduce(np.multiply, [f[b][:, b] for f, b in zip(factors, local)])
+
+        phi = product([vals] * dim)
+        dphi = np.stack([product([ders if j == k else vals for j in range(dim)]) for k in range(dim)])
+        wq = reduce(np.multiply, [(h * w)[b] for b in local])
+        return _read_only(phi, dphi, wq, g[local.T])
+
+    @cached_property
     def pattern(self) -> Pattern:
         n, e = self.n_nodes, self.elements
         keys, slot = np.unique((e[:, :, None] * n + e[:, None, :]).ravel(), return_inverse=True)
@@ -107,6 +132,11 @@ class Mesh:
     @cached_property
     def mass(self) -> np.ndarray:
         return _read_only(mass_matrix(self))[0]
+
+    @cached_property
+    def stiffness(self) -> np.ndarray:
+        _, dphi, wq, _ = self.reference
+        return _read_only(_scatter(np.einsum("cip,cjp,p->ij", dphi, dphi, wq), self))[0]
 
     @cached_property
     def interior_block(self) -> BlockMap:
@@ -251,30 +281,6 @@ def interpolate_nodal(func: Callable, mesh: Mesh) -> NodalField:
     return NodalField(evaluate_at(func, mesh.node_coords), mesh)
 
 
-def _reference_arrays(dim: int, h: float):
-    """Shape values/physical gradients at tensor Gauss points, plus weights.
-
-    Returns (phi, dphi, wq, ref_pts): phi is (n_shapes, n_pts), dphi is
-    (dim, n_shapes, n_pts), wq the quadrature weights scaled by cell volume,
-    ref_pts the (n_pts, dim) point coordinates on the reference cell [0,1]^dim.
-    Shapes and points are both listed by grid_index(2, dim), and each array is
-    the product over the axes of its 1D factors, x first.
-    """
-    g, w = _GAUSS_PTS, _GAUSS_WTS
-    vals = np.stack([1.0 - g, g])
-    ders = np.stack([-np.ones_like(g), np.ones_like(g)]) / h
-    local = grid_index(2, dim)
-
-    def product(factors):
-        # f[b][:, b], not f[np.ix_(b, b)]: einsum's sum order follows the layout
-        return reduce(np.multiply, [f[b][:, b] for f, b in zip(factors, local)])
-
-    phi = product([vals] * dim)
-    dphi = np.stack([product([ders if j == k else vals for j in range(dim)]) for k in range(dim)])
-    wq = reduce(np.multiply, [(h * w)[b] for b in local])
-    return phi, dphi, wq, g[local.T]
-
-
 def _scatter(local: np.ndarray, mesh: Mesh) -> np.ndarray:
     """Sum element blocks (ne, nsh, nsh), or one (nsh, nsh) block of all, into the
     data of the Q1 pattern, in element order, as scipy's COO to CSR conversion
@@ -286,20 +292,13 @@ def _scatter(local: np.ndarray, mesh: Mesh) -> np.ndarray:
 
 def assemble_operators(mesh: Mesh, q: NodalField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assemble the data of the mass, stiffness and q-weighted mass matrices."""
-    wmass = weighted_mass_matrix(mesh, q)
-    return mass_matrix(mesh), stiffness_matrix(mesh), wmass
+    return mass_matrix(mesh), mesh.stiffness, weighted_mass_matrix(mesh, q)
 
 
 def mass_matrix(mesh: Mesh) -> np.ndarray:
     """Assemble the data of the mass matrix alone."""
-    phi, _, wq, _ = _reference_arrays(mesh.dim, mesh.h)
+    phi, _, wq, _ = mesh.reference
     return _scatter(np.einsum("ip,jp,p->ij", phi, phi, wq), mesh)
-
-
-def stiffness_matrix(mesh: Mesh) -> np.ndarray:
-    """Assemble the data of the stiffness matrix alone."""
-    _, dphi, wq, _ = _reference_arrays(mesh.dim, mesh.h)
-    return _scatter(np.einsum("cip,cjp,p->ij", dphi, dphi, wq), mesh)
 
 
 def weighted_mass_matrix(mesh: Mesh, q: NodalField) -> np.ndarray:
@@ -310,14 +309,14 @@ def weighted_mass_matrix(mesh: Mesh, q: NodalField) -> np.ndarray:
     """
     if not q.mesh.matches(mesh):
         raise ValueError("potential field is not aligned with the mesh")
-    phi, _, wq, _ = _reference_arrays(mesh.dim, mesh.h)
+    phi, _, wq, _ = mesh.reference
     q_at_gauss = q.values[mesh.elements] @ phi
     return _scatter(np.einsum("ep,ip,jp,p->eij", q_at_gauss, phi, phi, wq), mesh)
 
 
 def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
     """Assemble the load vector (f, phi_i) with f evaluated at Gauss points."""
-    phi, _, wq, ref_pts = _reference_arrays(mesh.dim, mesh.h)
+    phi, _, wq, ref_pts = mesh.reference
     corners = mesh.node_coords[mesh.elements[:, 0]]
     points = corners[:, None, :] + mesh.h * ref_pts[None, :, :]
     fq = evaluate_at(f, points.reshape(-1, mesh.dim)).reshape(points.shape[:2])

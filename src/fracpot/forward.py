@@ -6,8 +6,8 @@ per march and solved by CG at every step, where the right-hand side carries
 the convolution-quadrature history.  Boundary nodes are pinned to the
 interpolated boundary data.
 
-The Q1 pattern, M and the map of the interior block depend on the mesh alone
-and are kept by the mesh.  Everything else that does not depend on the
+The Q1 pattern, M, S and the map of the interior block depend on the mesh
+alone and are kept by the mesh.  Everything else that does not depend on the
 potential (tau^{-alpha} b_0 M + S, the load, nodal f, boundary data, u^0 and
 the CQ weights) is built once per ProblemSpec, on first use, as its
 `discretization`.  A forward solve scatters only M_q, adds its data to that
@@ -16,7 +16,8 @@ solver; every other product is `mesh.product` on the whole pattern into one
 preallocated buffer, read at the interior nodes, with no sparse-matrix
 operator in the march.  A march holds exactly (N+1) * n_nodes * 8 bytes of
 history and no second copy of it; the history is local to the march, which
-returns u^N and dbar^alpha u^N alone.
+returns u^N and dbar^alpha u^N alone.  A history larger than the memory the
+process may use is a MemoryError before anything of it is allocated.
 The terminal derivative dbar^alpha u^N comes from the last step itself: that
 step already forms the history part of the convolution, so
 dbar^alpha u^N = tau^{-alpha} (u^N + past_N) on interior nodes, and it is
@@ -26,6 +27,8 @@ exactly zero on the boundary, whose trace is constant in time.
 from __future__ import annotations
 
 import math
+import os
+import resource
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -40,7 +43,6 @@ from .fem import (
     evaluate_at,
     grid_index,
     interpolate_nodal,
-    stiffness_matrix,
     weighted_mass_matrix,
 )
 from .sparselin import prepare_spd, solve_failure, solve_spd
@@ -111,7 +113,7 @@ class ProblemSpec:
         """The potential-independent part of the scheme, built on first use.
 
         It lives in the instance, so `dataclasses.replace` gives a new spec
-        with a setup of its own, which shares the mesh's pattern, M and block.
+        with a setup of its own, which shares the mesh's pattern, M, S and block.
         """
         mesh = self.mesh
         ii, bb = mesh.interior_nodes, mesh.boundary_nodes
@@ -126,7 +128,7 @@ class ProblemSpec:
             partial=np.cumsum(w),
             # (s M) + S entry by entry, as scipy adds them, except that an
             # entry that cancels to exactly 0 stays in the pattern.
-            base_data=(scale * w[0]) * mesh.mass + stiffness_matrix(mesh),
+            base_data=(scale * w[0]) * mesh.mass + mesh.stiffness,
             load_int=assemble_load(mesh, self.f_expr)[ii],
             f_nodes=interpolate_nodal(self.f_expr, mesh).values,
             boundary_values=boundary,
@@ -137,7 +139,7 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class Discretization:
     """Operators and data of a ProblemSpec that do not depend on the potential,
-    beyond the pattern, M and the interior block, which its mesh keeps.
+    beyond the pattern, M, S and the interior block, which its mesh keeps.
 
     weights_reversed holds b_N, ..., b_1, b_0 in one contiguous array, so the
     history convolution of step n is the BLAS product of its slice
@@ -170,12 +172,26 @@ def _check_potential(spec: ProblemSpec, q: NodalField) -> None:
         )
 
 
+def _memory_budget() -> int:
+    """Bytes this process may use: physical memory, or the address-space soft
+    limit (RLIMIT_AS) where that is finite and smaller."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return physical if soft == resource.RLIM_INFINITY else min(physical, soft)
+
+
 def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
     """March the fully discrete scheme to the final time for a given potential."""
     _check_potential(spec, q)
-    setup = spec.discretization
     mesh = spec.mesh
     n_steps = spec.num_steps
+    history_bytes, budget = (n_steps + 1) * mesh.n_nodes * 8, _memory_budget()
+    if history_bytes > budget:
+        raise MemoryError(
+            f"Unable to allocate {history_bytes / 2**30:.3g} GiB for the march history "
+            f"({n_steps + 1} x {mesh.n_nodes} float64) within {budget / 2**30:.3g} GiB"
+        )
+    setup = spec.discretization
     ii, bb, block = mesh.interior_nodes, mesh.boundary_nodes, mesh.interior_block
     # The data of base + M_q, entry by entry as scipy's CSR sum adds them.
     data = setup.base_data + weighted_mass_matrix(mesh, q)

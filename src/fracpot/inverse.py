@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import Mesh, NodalField, evaluate_at, interpolate_nodal, mass_norm, stiffness_matrix
+from .fem import Mesh, NodalField, evaluate_at, interpolate_nodal, mass_norm
 from .forward import ProblemSpec, solve_forward
 from .sparselin import prepare_spd, solve_failure, solve_spd
 
@@ -76,7 +76,7 @@ def compute_psi_h(mesh: Mesh, g_delta: NodalField, psi_boundary: np.ndarray) -> 
     full = np.zeros(mesh.n_nodes)
     full[bb] = psi_b
     with np.errstate(over="ignore"):
-        rhs = -mesh.product(stiffness_matrix(mesh), g_delta.values)[ii]
+        rhs = -mesh.product(mesh.stiffness, g_delta.values)[ii]
         rhs -= mesh.product(mass, full)[ii]
         interior, report = solve_spd(prepare_spd(block.indptr, block.indices, mass[block.take]), rhs)
         if not report.converged:

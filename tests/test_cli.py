@@ -7,6 +7,7 @@ point the way a shell invocation would.
 """
 
 import argparse
+import csv
 import json
 import logging
 import math
@@ -175,8 +176,9 @@ class TestSweepAndHistory:
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
         assert "alpha=0.5: fitted slope" in capsys.readouterr().out
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "delta,h,tau,alpha,e_q,iterations,runtime_s"
+        assert lines[0] == "delta,h,tau,alpha,e_q,iterations,runtime_s,failure"
         assert len(lines) == 3
+        assert [line.endswith(",") for line in lines[1:]] == [True, True]  # no failure
 
     def test_sweep_delta_override_narrows_to_one_row(self, tmp_path):
         config = self.sweep_config(tmp_path)
@@ -198,8 +200,10 @@ class TestSweepAndHistory:
             assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 3
         assert "every sweep row failed" in capsys.readouterr().err
         assert "iteration budget of 1 exhausted" in caplog.text
-        row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
-        assert row[5] == "1" and math.isfinite(float(row[4]))  # iterations, e_q kept
+        with open(tmp_path / "sweep.csv", newline="") as handle:
+            row = list(csv.DictReader(handle))[0]
+        assert row["iterations"] == "1" and math.isfinite(float(row["e_q"]))  # kept
+        assert row["failure"] == "iteration budget of 1 exhausted before the tolerance"
 
     def test_history_traces_errors(self, tmp_path, capsys):
         config = write_config(tmp_path, fine_factor=1)
@@ -409,10 +413,19 @@ class TestConfigErrors:
         assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_a_history_over_the_memory_budget_exits_3_before_the_march(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(forward, "_memory_budget", lambda: 1 << 10)
+    config = write_config(tmp_path)
+    assert main(["forward", "--config", str(config), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
+    assert not (tmp_path / "terminal.csv").exists()
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
 def test_out_of_memory_exits_3_with_one_line(tmp_path):
     # 10,000 cells x 100,000 steps: an 8.0 GB history against a 2 GiB address
-    # space, so its allocation fails at once and nothing of it is allocated.
+    # space, so the march refuses it and nothing of it is allocated.
     config = write_config(tmp_path, num_steps=100_000, domain={"cells": 10_000})
     limit = 2 << 30
     code = (

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from fracpot import experiments, fem
+from fracpot import experiments, fem, forward
 from fracpot.experiments import (
     RateRow,
     RateTable,
@@ -283,6 +283,13 @@ class TestRateSweep:
         assert "out of memory" in caplog.text
 
 
+    def test_a_history_over_the_memory_budget_is_a_failed_row(self, monkeypatch):
+        monkeypatch.setattr(forward, "_memory_budget", lambda: 1 << 10)
+        table = rate_sweep(benchmark_problem_1d(), SMOOTH_POTENTIAL, [1e-2], [0.5])
+        (row,) = table.rows
+        assert row.failure.startswith("out of memory: Unable to allocate")
+        assert math.isnan(row.e_q) and row.iterations == 0
+
 class TestConvergenceHistory:
     def history(self, q0=None):
         spec = benchmark_problem_1d(cells=20, num_steps=10)
@@ -382,17 +389,25 @@ class TestCsvIO:
         assert float(rows[2][2]) == 0.5
 
     def test_sweep_layout_round_trips(self, tmp_path):
+        failure = "time step 3/9: CG stalled, at relative residual 1e-9"
         table = RateTable(
-            rows=[RateRow(1e-3, 0.1, 0.01, 0.5, 0.0625, 17, 1.25)],
+            rows=[
+                RateRow(1e-3, 0.1, 0.01, 0.5, 0.0625, 17, 1.25),
+                RateRow(1e-4, 0.05, 0.005, 0.5, float("nan"), 0, 2.5, failure),
+            ],
             slopes={0.5: 0.31},
         )
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, table)
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
-        assert rows[0] == ["delta", "h", "tau", "alpha", "e_q", "iterations", "runtime_s"]
+        assert rows[0] == [
+            "delta", "h", "tau", "alpha", "e_q", "iterations", "runtime_s", "failure"
+        ]
         assert [float(v) for v in rows[1][:5]] == [1e-3, 0.1, 0.01, 0.5, 0.0625]
         assert int(rows[1][5]) == 17
+        assert rows[1][7] == ""
+        assert rows[2][7] == failure  # a comma in the text stays in its column
 
 
 class TestAutoFineFactor:

@@ -29,7 +29,6 @@ from fracpot.fem import (
     interpolate_nodal,
     mass_matrix,
     mass_norm,
-    stiffness_matrix,
     weighted_mass_matrix,
 )
 from fracpot.expressions import ExprError, parse_field_expr
@@ -219,7 +218,7 @@ class TestScatterOracle:
 
         monkeypatch.setattr(fem, "_scatter", recording)
         pattern = mesh.pattern
-        operators = [mass_matrix(mesh), stiffness_matrix(mesh), weighted_mass_matrix(mesh, q)]
+        operators = [mass_matrix(mesh), mesh.stiffness, weighted_mass_matrix(mesh, q)]
         assert len(blocks) == len(operators)
         for operator, local in zip(operators, blocks):
             reference = coo_scatter(local, mesh.elements, mesh.n_nodes)
@@ -232,7 +231,7 @@ class TestScatterOracle:
     def test_block_maps_cut_the_blocks_scipy_indexes(self, dim, cells):
         mesh = build_mesh((0.0, 1.0), cells, dim)
         ii = mesh.interior_nodes
-        stiff = stiffness_matrix(mesh)
+        stiff = mesh.stiffness
         matrix = csr(mesh, stiff)
         block, expected = mesh.interior_block, matrix[np.ix_(ii, ii)]
         np.testing.assert_array_equal(block.indptr, expected.indptr)
@@ -250,7 +249,7 @@ class TestScatterOracle:
         rng = np.random.default_rng(cells)
         v = rng.standard_normal(mesh.n_nodes)
         q = NodalField(rng.uniform(0.0, 5.0, mesh.n_nodes), mesh)
-        for data in (stiffness_matrix(mesh), weighted_mass_matrix(mesh, q)):
+        for data in (mesh.stiffness, weighted_mass_matrix(mesh, q)):
             out = np.full(mesh.n_nodes, np.nan)
             assert mesh.product(data, v, out) is out
             np.testing.assert_array_equal(out[ii], csr(mesh, data)[ii] @ v)
@@ -289,7 +288,7 @@ def reference_mesh(bounds, m, dim):
 
 
 def reference_arrays(dim, h):
-    """fem._reference_arrays written out per dimension, as it stood before
+    """Mesh.reference written out per dimension, as it stood before
     grid_index."""
     g, w = fem._GAUSS_PTS, fem._GAUSS_WTS
     vals1 = np.stack([1.0 - g, g])
@@ -312,11 +311,13 @@ class TestTensorOracle:
 
     The operators are compared as assembled data, not only as reference
     arrays: einsum's sum order follows its operands' memory layout, so equal
-    reference arrays in another layout can still change the last bits."""
+    reference arrays in another layout can still change the last bits.  The
+    oracle mesh's cached reference cell is seeded with the per-dimension arrays,
+    so its M, S, M_q and load are assembled from them."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("cells", [2, 3, 30, 90])
-    def test_mesh_and_operators_equal_the_per_dimension_path(self, monkeypatch, dim, cells):
+    def test_mesh_and_operators_equal_the_per_dimension_path(self, dim, cells):
         bounds = (0.0, 3.0)
         mesh, reference = build_mesh(bounds, cells, dim), reference_mesh(bounds, cells, dim)
         for name in ("node_coords", "elements", "boundary_nodes", "interior_nodes"):
@@ -329,21 +330,20 @@ class TestTensorOracle:
         def operators(mesh):
             return [
                 mass_matrix(mesh),
-                stiffness_matrix(mesh),
+                mesh.stiffness,
                 weighted_mass_matrix(mesh, NodalField(q, mesh)),
                 assemble_load(mesh, f),
             ]
 
-        new = operators(mesh)
-        monkeypatch.setattr(fem, "_reference_arrays", reference_arrays)
-        for name, a, b in zip(["M", "S", "M_q", "load"], new, operators(reference)):
+        reference.__dict__["reference"] = reference_arrays(dim, reference.h)
+        for name, a, b in zip(["M", "S", "M_q", "load"], operators(mesh), operators(reference)):
             np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 class TestSharedArrays:
-    """The pattern, the interior block and M are shared by every operator, system
-    and caller of a mesh, and prepare_spd keeps what it is given: an in-place
-    write into any of them must fail."""
+    """The reference cell, the pattern, the interior block, M and S are shared
+    by every operator, system and caller of a mesh, and prepare_spd keeps what
+    it is given: an in-place write into any of them must fail."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_in_place_writes_raise(self, dim):
@@ -354,8 +354,9 @@ class TestSharedArrays:
             for owner, obj in owners.items()
             for field in dataclasses.fields(obj)
         }
-        arrays["mass"] = mesh.mass
-        assert len(arrays) == 7
+        arrays.update(mass=mesh.mass, stiffness=mesh.stiffness)
+        arrays.update((f"reference[{k}]", array) for k, array in enumerate(mesh.reference))
+        assert len(arrays) == 12
         assert [name for name, array in arrays.items() if array.flags.writeable] == []
         for array in arrays.values():
             with pytest.raises(ValueError, match="read-only"):

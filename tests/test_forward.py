@@ -20,6 +20,8 @@ rebuilds the scipy matrices of these oracles.
 """
 
 import dataclasses
+import os
+import resource
 import tracemalloc
 from collections import Counter
 
@@ -35,7 +37,6 @@ from fracpot.fem import (
     build_mesh,
     interpolate_nodal,
     mass_matrix,
-    stiffness_matrix,
     weighted_mass_matrix,
 )
 from fracpot.forward import ProblemSpec, restrict_to_mesh, solve_forward
@@ -102,7 +103,7 @@ def reference_march(spec, q):
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
     w0 = cq_weights(spec.alpha, spec.num_steps)[0]
     mass = csr(mesh, mass_matrix(mesh))
-    base = (setup.scale * w0) * mass + csr(mesh, stiffness_matrix(mesh))
+    base = (setup.scale * w0) * mass + csr(mesh, mesh.stiffness)
     system = base + csr(mesh, weighted_mass_matrix(mesh, q))
     block = system[np.ix_(ii, ii)]
     system_ii = prepare_spd(block.indptr, block.indices, block.data)
@@ -286,6 +287,7 @@ class TestSetupLifetime:
         assert changed.discretization is not spec.discretization
         assert changed.mesh.pattern is spec.mesh.pattern
         assert changed.mesh.mass is spec.mesh.mass
+        assert changed.mesh.stiffness is spec.mesh.stiffness
         assert changed.mesh.interior_block is spec.mesh.interior_block
         assert len(calls) == 1
 
@@ -521,6 +523,43 @@ class TestValidation:
             other = interpolate_nodal(lambda x: np.zeros_like(x), mesh)
             with pytest.raises(ValueError, match="aligned"):
                 solve_forward(spec, other)
+
+
+class TestMemoryPreflight:
+    """The march checks its history against the memory budget before it
+    allocates it.  The budget is injected; nothing large is allocated."""
+
+    def test_a_history_over_the_budget_is_refused_before_anything_is_allocated(
+        self, monkeypatch
+    ):
+        # 100,001 steps on 5 nodes: a 4 MB history against a 1 MB budget.
+        spec = dataclasses.replace(small_spec(), num_steps=100_000)
+        q = interpolate_nodal(lambda x: 1.0 + x, spec.mesh)
+        monkeypatch.setattr(forward, "_memory_budget", lambda: 1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match=r"^Unable to allocate 0\.00373 GiB .*100001 x 5"):
+                solve_forward(spec, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_a_history_that_fits_exactly_marches_as_before(self, monkeypatch):
+        spec = small_spec(num_steps=4)
+        q = interpolate_nodal(lambda x: 1.0 + x, spec.mesh)
+        expected = solve_forward(spec, q).terminal.values
+        monkeypatch.setattr(forward, "_memory_budget", lambda: 5 * spec.mesh.n_nodes * 8)
+        np.testing.assert_array_equal(solve_forward(spec, q).terminal.values, expected)
+
+    @pytest.mark.parametrize("soft", [2 << 30, None], ids=["finite", "unlimited"])
+    def test_the_budget_is_the_smaller_of_memory_and_the_address_space_limit(
+        self, monkeypatch, soft
+    ):
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        limit = resource.RLIM_INFINITY if soft is None else soft
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, resource.RLIM_INFINITY))
+        assert forward._memory_budget() == (physical if soft is None else min(physical, soft))
 
 
 class TestRestriction:

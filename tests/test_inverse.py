@@ -27,7 +27,6 @@ from fracpot.fem import (
     interpolate_nodal,
     mass_matrix,
     mass_norm,
-    stiffness_matrix,
 )
 from fracpot.forward import solve_forward
 from fracpot.inverse import (
@@ -47,7 +46,7 @@ def reference_psi_h(mesh, g_delta, psi_b):
     """The body of compute_psi_h with scipy's fancy indexing, kept verbatim as
     the oracle."""
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
-    mass, stiff = csr(mesh, mass_matrix(mesh)), csr(mesh, stiffness_matrix(mesh))
+    mass, stiff = csr(mesh, mass_matrix(mesh)), csr(mesh, mesh.stiffness)
     rhs = -(stiff @ g_delta.values)[ii] - mass[np.ix_(ii, bb)] @ psi_b
     block = mass[np.ix_(ii, ii)]
     interior, report = solve_spd(prepare_spd(block.indptr, block.indices, block.data), rhs)

@@ -8,13 +8,14 @@ observations, with experiment drivers and a CLI.
 
 from .expressions import parse_field_expr
 from .fem import build_mesh, interpolate_nodal
-from .forward import ProblemSpec, solve_forward
+from .forward import InadmissiblePotential, ProblemSpec, solve_forward
 from .inverse import DataFloorError, ObservationData, compute_psi_h, reconstruct
 from .experiments import make_observation, rate_sweep, relative_error
 from .sparselin import SolveFailure
 
 __all__ = [
     "DataFloorError",
+    "InadmissiblePotential",
     "ObservationData",
     "ProblemSpec",
     "SolveFailure",

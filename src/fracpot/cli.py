@@ -1,9 +1,10 @@
 """Command line driver: forward solves, reconstructions, sweeps, histories.
 
-Exit codes: 0 on success, 2 for configuration or expression errors, 3 for
-numerical failures (linear solver stall, data floor violation, out of memory,
-an invert or history run that exhausts its iteration budget, or a sweep whose
-every row failed, an exhausted budget included).
+Exit codes: 0 on success, 2 for configuration or expression errors (an
+unknown config key, or an input potential outside the admissible range
+[0, M1], included), 3 for numerical failures (linear solver stall, data floor
+violation, out of memory, an invert or history run that exhausts its iteration
+budget, or a sweep whose every row failed, an exhausted budget included).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from pathlib import Path
 
 from .expressions import ExprError, FieldExpr, parse_field_expr
 from .fem import build_mesh, interpolate_nodal
-from .forward import ProblemSpec, solve_forward
-from .inverse import DataFloorError, ObservationData, boundary_psi, clamp_potential, reconstruct
+from .forward import InadmissiblePotential, ProblemSpec, solve_forward
+from .inverse import DataFloorError, ObservationData, boundary_psi, reconstruct
 from .experiments import (
     check_observation_settings,
     descending_noise_levels,
@@ -33,6 +34,15 @@ from .sparselin import SolveFailure
 
 DEFAULT_DELTAS = [1e-2, 1e-3, 1e-4, 1e-5]
 DEFAULT_ALPHAS = [0.25, 0.5, 0.75, 1.0]
+# The keys the loader reads, per level; `lin_tol` is retired and ignored.
+KNOWN_KEYS = {
+    "config": {
+        "alpha", "T", "num_steps", "domain", "fields", "seed", "delta", "M1", "M2_floor",
+        "tol", "max_iter", "alphas", "deltas", "fine_factor", "fine_step_factor", "lin_tol",
+    },
+    "domain": {"a", "b", "cells", "dim"},
+    "fields": {"v", "b", "f", "q_true", "q_boundary", "q0"},
+}
 
 
 class ConfigError(ValueError):
@@ -50,6 +60,14 @@ class RunConfig:
     alphas: list
     fine_factor: int | None
     fine_step_factor: int | None
+
+
+def _check_keys(mapping, where: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(mapping) - KNOWN_KEYS[where])
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -97,12 +115,13 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+    _check_keys(raw, "config")
 
     try:
         domain = _require(raw, "domain", "config")
         fields = _require(raw, "fields", "config")
+        _check_keys(domain, "domain")
+        _check_keys(fields, "fields")
         alpha = _real(_require(raw, "alpha", "config"), "alpha")
         T = _real(_require(raw, "T", "config"), "T")
         num_steps = _integer(_require(raw, "num_steps", "config"), "num_steps")
@@ -178,8 +197,7 @@ def _out_dir(args) -> Path:
 
 def _cmd_forward(cfg: RunConfig, args) -> int:
     spec = cfg.spec
-    q = clamp_potential(interpolate_nodal(_need_q_true(cfg), spec.mesh), spec.M1)
-    solution = solve_forward(spec, q)
+    solution = solve_forward(spec, interpolate_nodal(_need_q_true(cfg), spec.mesh))
     out = _out_dir(args)
     write_field_csv(out / "terminal.csv", solution.terminal)
     write_field_csv(out / "frac_deriv_terminal.csv", solution.frac_deriv_terminal)
@@ -310,7 +328,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides=args)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, ExprError) as exc:
+    except (ConfigError, ExprError, InadmissiblePotential) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (SolveFailure, DataFloorError) as exc:

@@ -164,9 +164,13 @@ class ForwardSolution:
     frac_deriv_terminal: NodalField
 
 
+class InadmissiblePotential(ValueError):
+    """A potential entering a march leaves the admissible range [0, M1]."""
+
+
 def _check_potential(spec: ProblemSpec, q: NodalField) -> None:
     if q.values.min() < -_BOUND_SLACK or q.values.max() > spec.M1 + _BOUND_SLACK:
-        raise ValueError(
+        raise InadmissiblePotential(
             f"potential values [{q.values.min():.3g}, {q.values.max():.3g}] "
             f"leave the admissible range [0, {spec.M1:g}]"
         )

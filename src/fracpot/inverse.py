@@ -58,7 +58,7 @@ class ReconstructionResult:
     converged: bool
 
 
-def compute_psi_h(mesh: Mesh, g_delta: NodalField, psi_boundary: np.ndarray) -> NodalField:
+def compute_psi_h(mesh: Mesh, obs: ObservationData) -> NodalField:
     """Data-regularized discrete Laplacian of the terminal observation.
 
     Interior values solve the mass system (psi, phi) = -(grad I_h g, grad phi)
@@ -66,30 +66,20 @@ def compute_psi_h(mesh: Mesh, g_delta: NodalField, psi_boundary: np.ndarray) -> 
     M_ib psi_b are mesh products, on g and on psi_b padded with 0 inside, read
     at the interior nodes; the mass system is cut by its interior block.
     """
-    if not g_delta.mesh.matches(mesh):
+    if not obs.g_delta.mesh.matches(mesh):
         raise ValueError("data is not aligned with the mesh")
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
-    psi_b = np.asarray(psi_boundary, dtype=float)
-    if psi_b.shape != bb.shape:
-        raise ValueError("psi_boundary must carry one value per boundary node")
     mass, block = mesh.mass, mesh.interior_block
     full = np.zeros(mesh.n_nodes)
-    full[bb] = psi_b
+    full[bb] = obs.psi_boundary
     with np.errstate(over="ignore"):
-        rhs = -mesh.product(mesh.stiffness, g_delta.values)[ii]
+        rhs = -mesh.product(mesh.stiffness, obs.g_delta.values)[ii]
         rhs -= mesh.product(mass, full)[ii]
         interior, report = solve_spd(prepare_spd(block.indptr, block.indices, mass[block.take]), rhs)
         if not report.converged:
             raise solve_failure("mass solve for the data Laplacian", report, rhs)
     full[ii] = interior
     return NodalField(full, mesh)
-
-
-def clamp_potential(field: NodalField, m1: float) -> NodalField:
-    """Componentwise clamp onto the admissible range [0, M1]."""
-    if m1 <= 0.0:
-        raise ValueError(f"upper bound must be positive, got {m1}")
-    return NodalField(np.clip(field.values, 0.0, m1), field.mesh)
 
 
 def fixed_point_update(
@@ -126,7 +116,7 @@ def reconstruct(
     """
     mesh = spec.mesh
     _check_floor(obs, spec)
-    psi_h = compute_psi_h(mesh, obs.g_delta, obs.psi_boundary)
+    psi_h = compute_psi_h(mesh, obs)
     f_nodes = spec.discretization.f_nodes
     if q0 is None:
         q_vals = fixed_point_update(f_nodes, 0.0, psi_h.values, obs.g_delta.values, spec.M1)

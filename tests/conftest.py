@@ -12,6 +12,9 @@ definition: the 1D problem on (0, 10) from configs/sweep_smooth.json and the
 pattern, scipy's COO to CSR conversion; it is the oracle of fem's scatter.
 `csr` rebuilds the scipy matrix of an operator, which fem keeps as its data
 in the mesh's pattern, for the oracles that index or multiply with scipy.
+`use_dense_solver` swaps the CG of forward and inverse for a dense direct
+solve, so that an oracle can show that it follows whatever solve the program
+uses.
 """
 
 from dataclasses import replace
@@ -21,10 +24,11 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import settings
 
+from fracpot import forward, inverse
 from fracpot.cli import load_config
 from fracpot.expressions import parse_field_expr
 from fracpot.fem import build_mesh, interpolate_nodal
-from fracpot.inverse import clamp_potential
+from fracpot.sparselin import SolveReport
 
 settings.register_profile(
     "fracpot",
@@ -66,8 +70,7 @@ def benchmark_problem_2d(**changes):
 def recon_1d_small_t():
     """The spec and true potential of the recon_1d_small_T benchmark workload."""
     cfg = load_config(RECON_1D_SMALL_T)
-    q = clamp_potential(interpolate_nodal(cfg.q_true, cfg.spec.mesh), cfg.spec.M1)
-    return cfg.spec, q
+    return cfg.spec, interpolate_nodal(cfg.q_true, cfg.spec.mesh)
 
 
 def small_2d():
@@ -88,3 +91,21 @@ def coo_scatter(local, elements, n):
     rows = np.repeat(elements, nsh, axis=1).ravel()
     cols = np.tile(elements, (1, nsh)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def use_dense_solver(monkeypatch):
+    """Replace prepare_spd/solve_spd in forward and inverse by np.linalg.solve on
+    the densified CSR block, reported as converged."""
+
+    def prepare(indptr, indices, data):
+        n = indptr.size - 1
+        dense = np.zeros((n, n))
+        dense[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
+        return dense
+
+    def solve(dense, rhs, x0=None):
+        return np.linalg.solve(dense, rhs), SolveReport(0, 0.0, True)
+
+    for module in (forward, inverse):
+        monkeypatch.setattr(module, "prepare_spd", prepare)
+        monkeypatch.setattr(module, "solve_spd", solve)

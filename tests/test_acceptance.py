@@ -22,7 +22,7 @@ from fracpot.experiments import make_observation, rate_sweep, relative_error
 from fracpot.expressions import parse_field_expr
 from fracpot.fem import NodalField, build_mesh, interpolate_nodal, mass_norm
 from fracpot.forward import restrict_to_mesh, solve_forward
-from fracpot.inverse import compute_psi_h, reconstruct
+from fracpot.inverse import ObservationData, compute_psi_h, reconstruct
 from conftest import (
     INDICATOR_POTENTIAL,
     SMOOTH_POTENTIAL,
@@ -166,7 +166,7 @@ def test_08_data_laplacian_error_trends():
     errs, hs = [], []
     for M in (20, 40, 80, 160):
         mesh = build_mesh((0.0, 10.0), M)
-        psi = compute_psi_h(mesh, interpolate_nodal(smooth, mesh), np.zeros(2))
+        psi = compute_psi_h(mesh, ObservationData(interpolate_nodal(smooth, mesh), np.zeros(2)))
         target = interpolate_nodal(laplacian, mesh)
         errs.append(mass_norm(psi.values - target.values, mesh))
         hs.append(10.0 / M)
@@ -182,7 +182,7 @@ def test_08_data_laplacian_error_trends():
         rng = np.random.default_rng(i)
         values = clean.values.copy()
         values[mesh.interior_nodes] += delta * rng.standard_normal(mesh.interior_nodes.size)
-        psi = compute_psi_h(mesh, NodalField(values, mesh), np.zeros(2))
+        psi = compute_psi_h(mesh, ObservationData(NodalField(values, mesh), np.zeros(2)))
         noise_errs.append(mass_norm(psi.values - target.values, mesh))
     slope = float(np.polyfit(np.log(deltas), np.log(noise_errs), 1)[0])
     assert 0.7 <= slope <= 1.3, f"delta-slope {slope:.3f} outside [0.7, 1.3]"

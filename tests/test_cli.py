@@ -365,6 +365,40 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["forward", "history", "sweep"])
+    def test_an_inadmissible_potential_exits_2_with_one_line(self, tmp_path, capsys, command):
+        # Input is checked, never repaired: forward does not clamp q_true to M1,
+        # and a sweep stops at once, since every row shares q_true.
+        config = write_config(
+            tmp_path, fields={"q_true": "6"}, M1=5, deltas=[1e-2, 1e-3], alphas=[0.5],
+            fine_factor=1, fine_step_factor=1,
+        )
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: potential values [6, 6] leave the admissible range [0, 5]\n"
+        )
+        assert not any(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "overrides, key, level",
+        [
+            ({"domain": {"dimm": 2}}, "dimm", "domain"),
+            ({"max_iters": 1}, "max_iters", "config"),
+            ({"fields": {"q_tru": "3"}}, "q_tru", "fields"),
+        ],
+        ids=["domain", "config", "fields"],
+    )
+    def test_an_unknown_key_exits_2_naming_it_and_its_level(
+        self, tmp_path, capsys, overrides, key, level
+    ):
+        config = write_config(tmp_path, **overrides)
+        assert main(["forward", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"configuration error: unknown key {key!r} in {level}\n"
+
+    def test_the_retired_lin_tol_still_loads(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, lin_tol=1e-8))
+        assert cfg.spec.fp_tol == 1e-10  # lin_tol sets no tolerance
+
     @pytest.mark.parametrize("command", ["forward", "invert"])
     @pytest.mark.parametrize("flag", ["--seed", "--delta"])
     def test_noise_flags_are_usage_errors_where_nothing_draws_noise(

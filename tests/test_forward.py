@@ -14,7 +14,9 @@ The oracles read state n as the terminal state of an n-step march with the
 same time step (`marched_history`), or read the history of `reference_march`:
 the march as it was before the interior blocks came from maps built once per
 mesh, with fancy-indexed blocks and scipy products on an M that it assembles
-itself.  The march must reproduce it bit for bit.
+itself.  It solves with the prepare_spd and solve_spd that forward holds when
+it runs, so it pins the loop's arithmetic, not the solver: the march must
+reproduce it bit for bit, with the CG and with a dense direct solve.
 Assembly returns an operator's data in the mesh's pattern; conftest.csr
 rebuilds the scipy matrices of these oracles.
 """
@@ -41,7 +43,6 @@ from fracpot.fem import (
 )
 from fracpot.forward import ProblemSpec, restrict_to_mesh, solve_forward
 from fracpot.inverse import ObservationData, compute_psi_h, reconstruct
-from fracpot.sparselin import prepare_spd, solve_spd
 from conftest import (
     SMOOTH_POTENTIAL,
     SMOOTH_POTENTIAL_2D,
@@ -51,6 +52,7 @@ from conftest import (
     csr,
     recon_1d_small_t,
     small_2d,
+    use_dense_solver,
 )
 
 
@@ -106,7 +108,7 @@ def reference_march(spec, q):
     base = (setup.scale * w0) * mass + csr(mesh, mesh.stiffness)
     system = base + csr(mesh, weighted_mass_matrix(mesh, q))
     block = system[np.ix_(ii, ii)]
-    system_ii = prepare_spd(block.indptr, block.indices, block.data)
+    system_ii = forward.prepare_spd(block.indptr, block.indices, block.data)
     rhs_base = setup.load_int - system[np.ix_(ii, bb)] @ setup.boundary_values
 
     history = np.empty((n_steps + 1, mesh.n_nodes))
@@ -117,7 +119,7 @@ def reference_march(spec, q):
         past = setup.weights_reversed[n_steps - n : n_steps] @ history[:n]
         past -= setup.partial[n] * history[0]
         rhs = rhs_base - setup.scale * (mass @ past)[ii]
-        x, report = solve_spd(system_ii, rhs, x0=x)
+        x, report = forward.solve_spd(system_ii, rhs, x0=x)
         assert report.converged
         history[n, ii] = x
     frac = np.zeros(mesh.n_nodes)
@@ -356,6 +358,15 @@ class TestMarchOracle:
         for array, name in zip(gathered, ("indptr", "indices", "data")):
             np.testing.assert_array_equal(array, getattr(expected, name))
 
+    @MARCH_PROBLEMS
+    def test_the_reference_follows_the_solver(self, monkeypatch, problem):
+        spec, q = problem()
+        use_dense_solver(monkeypatch)
+        solution = solve_forward(spec, q)
+        history, frac, _ = reference_march(spec, q)
+        np.testing.assert_array_equal(solution.terminal.values, history[-1])
+        np.testing.assert_array_equal(solution.frac_deriv_terminal.values, frac)
+
 
 SPARSE_TYPES = [
     cls for name in dir(sp)
@@ -439,7 +450,7 @@ def pipeline(spec, q):
     with its error trace, from the march's terminal field and a zero boundary
     trace."""
     obs = ObservationData(solve_forward(spec, q).terminal, np.zeros(spec.mesh.boundary_nodes.size))
-    compute_psi_h(spec.mesh, obs.g_delta, obs.psi_boundary)
+    compute_psi_h(spec.mesh, obs)
     reconstruct(spec, obs, q_true=lambda *xy: 3.0)
 
 

@@ -8,8 +8,9 @@ where the fixed point recovers the interpolated truth almost exactly.
 
 `reference_psi_h` is compute_psi_h as it was before the mesh kept M and the
 maps of its blocks: a fresh M, fancy-indexed blocks and scipy products, on
-the matrices that conftest.csr rebuilds.  compute_psi_h must reproduce it bit
-for bit.
+the matrices that conftest.csr rebuilds.  It solves with the prepare_spd and
+solve_spd that inverse holds when it runs, so compute_psi_h must reproduce it
+bit for bit with the CG and with a dense direct solve.
 """
 
 import dataclasses
@@ -33,13 +34,20 @@ from fracpot.inverse import (
     DataFloorError,
     ObservationData,
     boundary_psi,
-    clamp_potential,
     compute_psi_h,
     fixed_point_update,
     reconstruct,
 )
-from fracpot.sparselin import SolveFailure, prepare_spd, solve_spd
-from conftest import SMOOTH_POTENTIAL, benchmark_problem_1d, csr, recon_1d_small_t, small_2d
+from fracpot import inverse
+from fracpot.sparselin import SolveFailure
+from conftest import (
+    SMOOTH_POTENTIAL,
+    benchmark_problem_1d,
+    csr,
+    recon_1d_small_t,
+    small_2d,
+    use_dense_solver,
+)
 
 
 def reference_psi_h(mesh, g_delta, psi_b):
@@ -49,7 +57,8 @@ def reference_psi_h(mesh, g_delta, psi_b):
     mass, stiff = csr(mesh, mass_matrix(mesh)), csr(mesh, mesh.stiffness)
     rhs = -(stiff @ g_delta.values)[ii] - mass[np.ix_(ii, bb)] @ psi_b
     block = mass[np.ix_(ii, ii)]
-    interior, report = solve_spd(prepare_spd(block.indptr, block.indices, block.data), rhs)
+    system = inverse.prepare_spd(block.indptr, block.indices, block.data)
+    interior, report = inverse.solve_spd(system, rhs)
     assert report.converged
     full = np.empty(mesh.n_nodes)
     full[ii] = interior
@@ -61,27 +70,27 @@ class TestPsiH:
     def test_quadratic_data_gives_constant_laplacian(self):
         mesh = build_mesh((0.0, 1.0), 10)
         g = interpolate_nodal(lambda x: x**2, mesh)
-        psi = compute_psi_h(mesh, g, np.array([2.0, 2.0]))
+        psi = compute_psi_h(mesh, ObservationData(g, [2.0, 2.0]))
         np.testing.assert_allclose(psi.values, 2.0, atol=1e-10)
 
     def test_benchmark_initial_profile(self):
         # g = x(10-x)/50 + 1 has constant Laplacian -0.04.
         mesh = build_mesh((0.0, 10.0), 20)
         g = interpolate_nodal(lambda x: x * (10.0 - x) / 50.0 + 1.0, mesh)
-        psi = compute_psi_h(mesh, g, np.array([-0.04, -0.04]))
+        psi = compute_psi_h(mesh, ObservationData(g, [-0.04, -0.04]))
         np.testing.assert_allclose(psi.values, -0.04, atol=1e-10)
 
     def test_affine_data_gives_exact_zero(self):
         mesh = build_mesh((0.0, 1.0), 8)
         g = interpolate_nodal(lambda x: 3.0 * x + 1.0, mesh)
-        psi = compute_psi_h(mesh, g, np.zeros(2))
+        psi = compute_psi_h(mesh, ObservationData(g, np.zeros(2)))
         np.testing.assert_array_equal(psi.values, 0.0)
 
     def test_2d_quadratic(self):
         mesh = build_mesh((0.0, 1.0), 6, dim=2)
         g = interpolate_nodal(lambda x, y: x**2 + y**2, mesh)
         psi_b = np.full(mesh.boundary_nodes.size, 4.0)
-        psi = compute_psi_h(mesh, g, psi_b)
+        psi = compute_psi_h(mesh, ObservationData(g, psi_b))
         np.testing.assert_allclose(psi.values, 4.0, atol=1e-9)
 
     def test_mesh_alignment_checked(self):
@@ -89,7 +98,7 @@ class TestPsiH:
         other = build_mesh((0.0, 1.0), 9)
         g = interpolate_nodal(lambda x: x, other)
         with pytest.raises(ValueError, match="aligned"):
-            compute_psi_h(mesh, g, np.zeros(2))
+            compute_psi_h(mesh, ObservationData(g, np.zeros(2)))
 
     def test_overflowing_right_hand_side_is_named(self):
         # |psi_b| = 1e300 keeps every entry finite, but the norm overflows.
@@ -98,42 +107,53 @@ class TestPsiH:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolveFailure, match="right-hand side has a non-finite norm"):
-                compute_psi_h(mesh, g, np.full(2, 1e300))
+                compute_psi_h(mesh, ObservationData(g, np.full(2, 1e300)))
 
     def test_boundary_shape_checked(self):
+        # The observation checks its boundary trace; compute_psi_h reads it checked.
         mesh = build_mesh((0.0, 1.0), 8)
         g = interpolate_nodal(lambda x: x, mesh)
         with pytest.raises(ValueError, match="boundary"):
-            compute_psi_h(mesh, g, np.zeros(3))
+            ObservationData(g, np.zeros(3))
+
+
+def noisy_observation(problem):
+    """The problem's mesh and an observation of its potential with noise added
+    everywhere and a nonzero boundary trace."""
+    spec, q = problem()
+    mesh = spec.mesh
+    rng = np.random.default_rng(11)
+    noisy = q.values + 1e-3 * rng.standard_normal(mesh.n_nodes)
+    psi_b = rng.uniform(-2.0, 2.0, mesh.boundary_nodes.size)
+    assert np.all(psi_b != 0.0)
+    return mesh, ObservationData(NodalField(noisy, mesh), psi_b)
+
+
+PSI_PROBLEMS = pytest.mark.parametrize(
+    "problem", [recon_1d_small_t, small_2d], ids=["1d_small_T", "2d"]
+)
 
 
 class TestPsiHOracle:
-    @pytest.mark.parametrize("problem", [recon_1d_small_t, small_2d], ids=["1d_small_T", "2d"])
+    @PSI_PROBLEMS
     def test_bitwise_equal_to_the_fancy_indexed_body(self, problem):
-        spec, q = problem()
-        mesh = spec.mesh
-        rng = np.random.default_rng(11)
-        noisy = q.values + 1e-3 * rng.standard_normal(mesh.n_nodes)
-        g = NodalField(noisy, mesh)
-        psi_b = rng.uniform(-2.0, 2.0, mesh.boundary_nodes.size)
-        assert np.all(psi_b != 0.0)
-        psi = compute_psi_h(mesh, g, psi_b)
-        np.testing.assert_array_equal(psi.values, reference_psi_h(mesh, g, psi_b))
+        mesh, obs = noisy_observation(problem)
+        psi = compute_psi_h(mesh, obs)
+        np.testing.assert_array_equal(
+            psi.values, reference_psi_h(mesh, obs.g_delta, obs.psi_boundary)
+        )
+
+    @PSI_PROBLEMS
+    def test_the_reference_follows_the_solver(self, monkeypatch, problem):
+        mesh, obs = noisy_observation(problem)
+        use_dense_solver(monkeypatch)
+        psi = compute_psi_h(mesh, obs)
+        np.testing.assert_array_equal(
+            psi.values, reference_psi_h(mesh, obs.g_delta, obs.psi_boundary)
+        )
 
 
 class TestPointwiseOps:
-    def test_clamp(self):
-        mesh = build_mesh((0.0, 1.0), 3)
-        field = NodalField(np.array([-1.0, 0.5, 3.0, 6.0]), mesh)
-        clamped = clamp_potential(field, 5.0)
-        np.testing.assert_array_equal(clamped.values, [0.0, 0.5, 3.0, 5.0])
-
-    def test_clamp_bound_validation(self):
-        mesh = build_mesh((0.0, 1.0), 3)
-        field = NodalField(np.zeros(4), mesh)
-        with pytest.raises(ValueError):
-            clamp_potential(field, 0.0)
-
     def test_update_quotient(self):
         # (f - w + psi) / g = (10 - 2 + (-4)) / 2 = 2.
         out = fixed_point_update(
@@ -210,7 +230,7 @@ class TestReconstruct:
     def test_fixed_point_residual_small_at_convergence(self):
         spec, obs = crime_free_setup()
         result = reconstruct(spec, obs)
-        psi_h = compute_psi_h(spec.mesh, obs.g_delta, obs.psi_boundary)
+        psi_h = compute_psi_h(spec.mesh, obs)
         forward = solve_forward(spec, result.q_star)
         again = fixed_point_update(
             interpolate_nodal(spec.f_expr, spec.mesh).values,

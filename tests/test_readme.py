@@ -2,7 +2,9 @@
 
 Every name the "Field expressions support" paragraph lists must parse, and
 the "Optional config keys" paragraph must list exactly the optional keys
-that `cli.load_config` reads (found by scanning cli.py with `ast`).
+that `cli.load_config` reads (found by scanning cli.py with `ast`).  The keys
+the loader accepts, `cli.KNOWN_KEYS`, are the keys it reads and the retired
+`lin_tol`.
 """
 
 import ast
@@ -46,6 +48,10 @@ def test_every_listed_expression_name_parses():
     assert [name for name, ok in checked if not ok] == []
 
 
+def dotted(level: str, key: str) -> str:
+    return key if level == "config" else f"{level}.{key}"
+
+
 def optional_keys_read_by_the_loader() -> set:
     keys = set()
     for node in ast.walk(ast.parse(Path(fracpot.cli.__file__).read_text())):
@@ -67,3 +73,22 @@ def test_optional_config_keys_match_the_loader():
     documented = readme_spans("Optional config keys:")
     assert len(documented) == len(set(documented))
     assert set(documented) == optional_keys_read_by_the_loader()
+
+
+def required_keys_read_by_the_loader() -> set:
+    keys = set()
+    for node in ast.walk(ast.parse(Path(fracpot.cli.__file__).read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+            "_require",
+            "_parse_expr",
+        ):
+            owner, key = node.args[0], node.args[1]
+            if isinstance(key, ast.Constant) and owner.id in ("raw", "domain", "fields"):
+                keys.add(dotted("config" if owner.id == "raw" else owner.id, key.value))
+    return keys
+
+
+def test_the_known_keys_are_the_keys_the_loader_reads():
+    known = {dotted(level, key) for level, keys in fracpot.cli.KNOWN_KEYS.items() for key in keys}
+    read = required_keys_read_by_the_loader() | optional_keys_read_by_the_loader()
+    assert known == read | {"lin_tol"}

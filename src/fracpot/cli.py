@@ -32,18 +32,6 @@ from .experiments import (
 )
 from .sparselin import SolveFailure
 
-DEFAULT_DELTAS = [1e-2, 1e-3, 1e-4, 1e-5]
-DEFAULT_ALPHAS = [0.25, 0.5, 0.75, 1.0]
-# The keys the loader reads, per level; `lin_tol` is retired and ignored.
-KNOWN_KEYS = {
-    "config": {
-        "alpha", "T", "num_steps", "domain", "fields", "seed", "delta", "M1", "M2_floor",
-        "tol", "max_iter", "alphas", "deltas", "fine_factor", "fine_step_factor", "lin_tol",
-    },
-    "domain": {"a", "b", "cells", "dim"},
-    "fields": {"v", "b", "f", "q_true", "q_boundary", "q0"},
-}
-
 
 class ConfigError(ValueError):
     """A configuration file is missing keys or holds invalid values."""
@@ -62,30 +50,6 @@ class RunConfig:
     fine_step_factor: int | None
 
 
-def _check_keys(mapping, where: str) -> None:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(mapping) - KNOWN_KEYS[where])
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
-
-
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return mapping[key]
-
-
-def _parse_expr(mapping: dict, key: str, where: str) -> FieldExpr:
-    text = _require(mapping, key, where)
-    if not isinstance(text, str):
-        raise ConfigError(f"{where}.{key} must be an expression string")
-    try:
-        return parse_field_expr(text)
-    except ExprError as exc:
-        raise ConfigError(f"bad expression for {where}.{key}: {exc}") from exc
-
-
 def _real(value, key: str) -> float:
     """A real config value as a float; a JSON boolean or string is not a number."""
     if isinstance(value, (bool, str)):
@@ -94,86 +58,121 @@ def _real(value, key: str) -> float:
 
 
 def _integer(value, key: str) -> int:
-    """A whole-number config value as an int: 3 and 3.0 pass, 3.7 and true do not."""
-    number = int(value)
-    if number != _real(value, key):
+    """A whole-number config value as an int: 3 and 3.0 pass, 3.7, "3" and true do not."""
+    real = _real(value, key)
+    number = int(real)
+    if number != real:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return number
 
 
-def _optional_expr(mapping: dict, key: str) -> FieldExpr | None:
-    if mapping.get(key) is None:
-        return None
-    return _parse_expr(mapping, key, "fields")
+def _expr(text, key: str) -> FieldExpr:
+    if not isinstance(text, str):
+        raise ConfigError(f"{key} must be an expression string")
+    try:
+        return parse_field_expr(text)
+    except ExprError as exc:
+        raise ConfigError(f"bad expression for {key}: {exc}") from exc
+
+
+def _orders(values, key: str) -> list[float]:
+    if not values:
+        raise ConfigError(f"{key} must list at least one order")
+    return [_real(a, key) for a in values]
+
+
+def _noise_levels(values, key: str) -> list[float]:
+    return descending_noise_levels([_real(d, key) for d in values])
+
+
+def _level(mapping, where: str) -> dict:
+    """One config level's values, each key read by its table entry in table order.
+
+    An absent key takes the entry's default, which goes through the parser
+    too, and a key whose default is None reads null as None.  An unknown key
+    or an absent REQUIRED one is a ConfigError naming it.
+    """
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(mapping) - set(CONFIG_KEYS[where]))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+    values = {}
+    for key, (parse, default) in CONFIG_KEYS[where].items():
+        value = mapping.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing key {key!r} in {where}")
+        name = key if where == "config" else f"{where}.{key}"
+        values[key] = None if value is None and default is None else parse(value, name)
+    return values
+
+
+REQUIRED = object()  # the default of a key that every config must set
+# The one list of config keys: per level (a nested object is read as a
+# level of its own), each key's parser and its default.
+CONFIG_KEYS = {
+    "config": {
+        "domain": (_level, REQUIRED),
+        "fields": (_level, REQUIRED),
+        "alpha": (_real, REQUIRED),
+        "T": (_real, REQUIRED),
+        "num_steps": (_integer, REQUIRED),
+        "seed": (_integer, 0),
+        "delta": (_real, 0.0),
+        "M1": (_real, 5.0),
+        "M2_floor": (_real, 1e-6),
+        "tol": (_real, 1e-10),
+        "max_iter": (_integer, 50_000),
+        "alphas": (_orders, [0.25, 0.5, 0.75, 1.0]),
+        "deltas": (_noise_levels, [1e-2, 1e-3, 1e-4, 1e-5]),
+        "fine_factor": (_integer, None),
+        "fine_step_factor": (_integer, None),
+        # retired: accepted and ignored, since the solver sets its own tolerance
+        "lin_tol": (lambda value, key: None, None),
+    },
+    "domain": {
+        "a": (_real, REQUIRED),
+        "b": (_real, REQUIRED),
+        "cells": (_integer, REQUIRED),
+        "dim": (_integer, 1),
+    },
+    "fields": {
+        "v": (_expr, REQUIRED),
+        "b": (_expr, REQUIRED),
+        "f": (_expr, REQUIRED),
+        "q_true": (_expr, None),
+        "q_boundary": (_expr, None),
+        "q0": (_expr, None),
+    },
+}
 
 
 def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
-    """Load a JSON config and apply command line overrides."""
+    """Load a JSON config through CONFIG_KEYS and apply command line overrides."""
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _check_keys(raw, "config")
-
     try:
-        domain = _require(raw, "domain", "config")
-        fields = _require(raw, "fields", "config")
-        _check_keys(domain, "domain")
-        _check_keys(fields, "fields")
-        alpha = _real(_require(raw, "alpha", "config"), "alpha")
-        T = _real(_require(raw, "T", "config"), "T")
-        num_steps = _integer(_require(raw, "num_steps", "config"), "num_steps")
-        seed = _integer(raw.get("seed", 0), "seed")
-        delta = _real(raw.get("delta", 0.0), "delta")
-        given = {k: v for k, v in vars(overrides or argparse.Namespace()).items() if v is not None}
-        alpha, T = given.get("alpha", alpha), given.get("T", T)
-        delta, seed = given.get("delta", delta), given.get("seed", seed)
-        mesh = build_mesh(
-            (
-                _real(_require(domain, "a", "domain"), "domain.a"),
-                _real(_require(domain, "b", "domain"), "domain.b"),
-            ),
-            _integer(_require(domain, "cells", "domain"), "domain.cells"),
-            _integer(domain.get("dim", 1), "domain.dim"),
-        )
+        keys = _level(raw, "config")
+        given = vars(overrides or argparse.Namespace())
+        keys.update((k, given[k]) for k in ("alpha", "T", "delta", "seed") if given.get(k) is not None)
+        domain, fields = keys["domain"], keys["fields"]
         spec = ProblemSpec(
-            alpha=alpha,
-            T=T,
-            num_steps=num_steps,
-            mesh=mesh,
-            v_expr=_parse_expr(fields, "v", "fields"),
-            b_expr=_parse_expr(fields, "b", "fields"),
-            f_expr=_parse_expr(fields, "f", "fields"),
-            M1=_real(raw.get("M1", 5.0), "M1"),
-            M2_floor=_real(raw.get("M2_floor", 1e-6), "M2_floor"),
-            fp_tol=_real(raw.get("tol", 1e-10), "tol"),
-            max_iter=_integer(raw.get("max_iter", 50_000), "max_iter"),
-            seed=seed,
+            alpha=keys["alpha"], T=keys["T"], num_steps=keys["num_steps"],
+            mesh=build_mesh((domain["a"], domain["b"]), domain["cells"], domain["dim"]),
+            v_expr=fields["v"], b_expr=fields["b"], f_expr=fields["f"],
+            M1=keys["M1"], M2_floor=keys["M2_floor"], fp_tol=keys["tol"],
+            max_iter=keys["max_iter"], seed=keys["seed"],
         )
-        alphas = raw.get("alphas", DEFAULT_ALPHAS)
-        if not alphas:
-            raise ConfigError("alphas must list at least one order")
-        fine_factor = raw.get("fine_factor")
-        if fine_factor is not None:
-            fine_factor = _integer(fine_factor, "fine_factor")
-        fine_step_factor = raw.get("fine_step_factor")
-        if fine_step_factor is not None:
-            fine_step_factor = _integer(fine_step_factor, "fine_step_factor")
         cfg = RunConfig(
             spec=spec,
-            q_true=_optional_expr(fields, "q_true"),
-            q_boundary=_optional_expr(fields, "q_boundary"),
-            q0=_optional_expr(fields, "q0"),
-            delta=delta,
-            deltas=descending_noise_levels(
-                [_real(d, "deltas") for d in raw.get("deltas", DEFAULT_DELTAS)]
-            ),
+            **{k: fields[k] for k in ("q_true", "q_boundary", "q0")},
+            **{k: keys[k] for k in ("delta", "deltas", "fine_factor", "fine_step_factor")},
             # replace() runs ProblemSpec's range check on every order of the sweep
-            alphas=[replace(spec, alpha=_real(a, "alphas")).alpha for a in alphas],
-            fine_factor=fine_factor,
-            fine_step_factor=fine_step_factor,
+            alphas=[replace(spec, alpha=a).alpha for a in keys["alphas"]],
         )
         check_observation_settings(cfg.delta, cfg.fine_factor, cfg.fine_step_factor)
         return cfg
@@ -223,8 +222,6 @@ def _budget_exit_code(result) -> int:
 
 def _cmd_invert(cfg: RunConfig, args) -> int:
     spec = cfg.spec
-    if args.data is None:
-        raise ConfigError("invert needs --data pointing to a terminal field dump")
     try:
         g = read_field_csv(args.data, spec.mesh)
     except (OSError, ValueError) as exc:
@@ -289,11 +286,22 @@ def _cmd_history(cfg: RunConfig, args) -> int:
     return _budget_exit_code(result)
 
 
-_COMMANDS = {
-    "forward": _cmd_forward,
-    "invert": _cmd_invert,
-    "sweep": _cmd_sweep,
-    "history": _cmd_history,
+_NOISE_FLAGS = {  # for the subcommands that draw noisy data
+    "--seed": {"type": int, "help": "override the config seed"},
+    "--delta": {"type": float, "help": "override the noise level"},
+}
+# Each subcommand: its handler, its help line and the flags it adds to the common four.
+SUBCOMMANDS = {
+    "forward": (_cmd_forward, "solve the forward problem and dump the terminal field", {}),
+    "invert": (
+        _cmd_invert,
+        "reconstruct the potential from a terminal field dump",
+        {"--data": {"required": True, "help": "terminal field dump to invert"}},
+    ),
+    "sweep": (_cmd_sweep, "run the noise-level rate sweep and dump a rate table", _NOISE_FLAGS),
+    "history": (
+        _cmd_history, "trace per-iteration errors for a synthetic reconstruction", _NOISE_FLAGS
+    ),
 }
 
 
@@ -303,23 +311,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Terminal-data potential recovery for (sub)diffusion problems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "forward": "solve the forward problem and dump the terminal field",
-        "invert": "reconstruct the potential from a terminal field dump",
-        "sweep": "run the noise-level rate sweep and dump a rate table",
-        "history": "trace per-iteration errors for a synthetic reconstruction",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text, flags) in SUBCOMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--out", default=".", help="output directory (created if missing)")
-        cmd.add_argument("--alpha", type=float, default=None, help="override the fractional order")
-        cmd.add_argument("--T", type=float, default=None, help="override the final time")
-        if name in ("sweep", "history"):  # the subcommands that draw noisy data
-            cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-            cmd.add_argument("--delta", type=float, default=None, help="override the noise level")
-        if name == "invert":
-            cmd.add_argument("--data", required=True, help="terminal field dump to invert")
+        cmd.add_argument("--alpha", type=float, help="override the fractional order")
+        cmd.add_argument("--T", type=float, help="override the final time")
+        for flag, options in flags.items():
+            cmd.add_argument(flag, **options)
     return parser
 
 
@@ -327,7 +326,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, overrides=args)
-        return _COMMANDS[args.command](cfg, args)
+        return SUBCOMMANDS[args.command][0](cfg, args)
     except (ConfigError, ExprError, InadmissiblePotential) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,9 @@ import numpy as np
 from .fem import csr_matvec
 
 REL_TOL = 1e-12  # the one target of every solve in the pipeline
+# A residual within FLOOR_FACTOR eps || |A| |x| + |b| || is as small as forming
+# A x - b in floating point allows, so no iterate can do better.
+FLOOR_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -71,11 +74,15 @@ def solve_spd(
     """Solve A x = rhs for a prepared SPD matrix A by preconditioned CG.
 
     Convergence means ||A x - rhs|| <= REL_TOL * ||rhs|| in the true residual,
-    which is recomputed whenever the recurrence residual passes.  The iteration
-    cap is 10 times the dimension; hitting it is reported through the returned
-    SolveReport, never hidden.  A right-hand side of non-finite norm is
-    reported as not converged after 0 iterations.  An optional x0 warm-starts
-    the iteration.
+    which is recomputed whenever the recurrence residual passes.  Where that
+    target lies below rounding, as on fine 1D meshes, a residual recomputed
+    after CG steps that misses it still converges if it is at the rounding
+    floor, ||A x - rhs|| <= FLOOR_FACTOR * eps * || |A| |x| + |rhs| ||;
+    |A| |x| is formed only then, and the report keeps the true relative
+    residual.  The iteration cap is 10 times the dimension; hitting it is
+    reported through the returned SolveReport, never hidden.  A right-hand
+    side of non-finite norm is reported as not converged after 0 iterations.
+    An optional x0 warm-starts the iteration.
 
     x sits next to -r in one buffer and p next to A p in another, so one
     multiply and one add update both.  Negation is exact, so -r + s A p rounds
@@ -112,7 +119,8 @@ def solve_spd(
     while True:
         np.subtract(csr_matvec(indptr, indices, data, x, ap), rhs, out=neg_r)
         res = math.sqrt(r_dot(neg_r)) / rhs_norm
-        if res <= REL_TOL or iterations >= cap:
+        converged = res <= REL_TOL or (iterations > 0 and _at_rounding_floor(system, x, rhs, res))
+        if converged or iterations >= cap:
             break
         multiply(inv_diag, neg_r, out=neg_z)
         np.negative(neg_z, out=p)
@@ -132,4 +140,14 @@ def solve_spd(
             p *= rz_next / rz
             p -= neg_z
             rz = rz_next
-    return x, SolveReport(iterations, res, bool(res <= REL_TOL))
+    return x, SolveReport(iterations, res, converged)
+
+
+def _at_rounding_floor(system: SpdSystem, x: np.ndarray, rhs: np.ndarray, res: float) -> bool:
+    """Whether the relative residual `res` of x is within FLOOR_FACTOR eps of
+    || |A| |x| + |rhs| || / ||rhs||, the most that rounding leaves of A x - rhs."""
+    abs_data = np.abs(system.data)
+    bound = csr_matvec(system.indptr, system.indices, abs_data, np.abs(x), np.empty_like(x))
+    bound += np.abs(rhs)
+    floor = FLOOR_FACTOR * math.ulp(1.0) * math.sqrt(bound.dot(bound) / rhs.dot(rhs))
+    return res <= floor < math.inf

@@ -1,26 +1,26 @@
 """Guards that keep the README's config reference in step with the code.
 
 Every name the "Field expressions support" paragraph lists must parse, and
-the "Optional config keys" paragraph must list exactly the optional keys
-that `cli.load_config` reads (found by scanning cli.py with `ast`).  The keys
-the loader accepts, `cli.KNOWN_KEYS`, are the keys it reads and the retired
-`lin_tol`.
+the config paragraphs must name the keys of `cli.CONFIG_KEYS`, the one table
+of config keys: "Optional config keys" lists exactly the keys with a default
+but the retired `lin_tol`, and "Whole-number keys" exactly those the table
+reads as integers.
 """
 
-import ast
 import re
 from pathlib import Path
 
-import fracpot.cli
+from fracpot.cli import CONFIG_KEYS, REQUIRED, _integer
 from fracpot.expressions import ExprError, parse_field_expr
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def readme_spans(opening: str) -> list[str]:
-    """Backticked spans of the README paragraph that starts with `opening`."""
+def readme_spans(opening: str, end: str = "\n\n") -> list[str]:
+    """Backticked spans of the README paragraph that starts with `opening`, up
+    to the first `end` in it."""
     (paragraph,) = [p for p in README.read_text().split("\n\n") if p.startswith(opening)]
-    return re.findall(r"`([^`]+)`", paragraph)
+    return re.findall(r"`([^`]+)`", paragraph.split(end)[0])
 
 
 def parses(source: str) -> bool:
@@ -48,47 +48,24 @@ def test_every_listed_expression_name_parses():
     assert [name for name, ok in checked if not ok] == []
 
 
-def dotted(level: str, key: str) -> str:
-    return key if level == "config" else f"{level}.{key}"
-
-
-def optional_keys_read_by_the_loader() -> set:
-    keys = set()
-    for node in ast.walk(ast.parse(Path(fracpot.cli.__file__).read_text())):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "get":
-            owner = getattr(func.value, "id", None)
-            if owner == "raw":
-                keys.add(node.args[0].value)
-            elif owner == "domain":
-                keys.add(f"domain.{node.args[0].value}")
-        elif isinstance(func, ast.Name) and func.id == "_optional_expr":
-            keys.add(f"fields.{node.args[1].value}")
-    return keys
+def table_keys(select) -> set:
+    """The dotted names of the CONFIG_KEYS entries that `select(parse, default)` picks."""
+    return {
+        key if level == "config" else f"{level}.{key}"
+        for level, table in CONFIG_KEYS.items()
+        for key, (parse, default) in table.items()
+        if select(parse, default)
+    }
 
 
 def test_optional_config_keys_match_the_loader():
     documented = readme_spans("Optional config keys:")
     assert len(documented) == len(set(documented))
-    assert set(documented) == optional_keys_read_by_the_loader()
+    optional = table_keys(lambda parse, default: default is not REQUIRED)
+    assert set(documented) == optional - {"lin_tol"}
+    assert "lin_tol" in optional and "the retired `lin_tol`" in README.read_text()
 
 
-def required_keys_read_by_the_loader() -> set:
-    keys = set()
-    for node in ast.walk(ast.parse(Path(fracpot.cli.__file__).read_text())):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
-            "_require",
-            "_parse_expr",
-        ):
-            owner, key = node.args[0], node.args[1]
-            if isinstance(key, ast.Constant) and owner.id in ("raw", "domain", "fields"):
-                keys.add(dotted("config" if owner.id == "raw" else owner.id, key.value))
-    return keys
-
-
-def test_the_known_keys_are_the_keys_the_loader_reads():
-    known = {dotted(level, key) for level, keys in fracpot.cli.KNOWN_KEYS.items() for key in keys}
-    read = required_keys_read_by_the_loader() | optional_keys_read_by_the_loader()
-    assert known == read | {"lin_tol"}
+def test_whole_number_keys_match_the_table():
+    documented = readme_spans("Whole-number keys", end=")")
+    assert set(documented) == table_keys(lambda parse, default: parse is _integer)

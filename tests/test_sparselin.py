@@ -12,15 +12,18 @@ must reproduce it bit for bit, on the benchmark's systems and on random ones.
 prepare_spd takes CSR arrays; `prepare` hands it those of a scipy matrix.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fracpot import forward
+from fracpot import forward, sparselin
+from fracpot.cli import main
 from fracpot.fem import csr_matvec
 from fracpot.sparselin import (
+    FLOOR_FACTOR,
     REL_TOL,
     SolveFailure,
     SolveReport,
@@ -304,3 +307,45 @@ class TestSolveFailure:
         assert str(failure) == (
             f"step 2/5: CG stalled at relative residual 6.947e-12 (target {REL_TOL:g})"
         )
+
+
+class TestRoundingFloor:
+    """On the 299-unknown chain (1/h) tridiag(-1, 2, -1), rounding keeps
+    ||A x - b|| above REL_TOL ||b||: without the floor rule the CG runs to its
+    cap of 2990 iterations and stalls at 1.18e-12."""
+
+    def chain(self):
+        n = 299
+        h = 1.0 / (n + 1)
+        a = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr() / h
+        return a, np.full(n, h), np.linspace(h, 1.0 - h, n)
+
+    def test_a_residual_at_the_floor_converges(self):
+        a, rhs, xs = self.chain()
+        x, report = solve_spd(prepare(a), rhs)
+        assert report.converged and report.final_residual > REL_TOL
+        assert report.iterations < 10 * rhs.size
+        floor = FLOOR_FACTOR * np.finfo(float).eps * np.linalg.norm(abs(a) @ abs(x) + rhs)
+        assert np.linalg.norm(a @ x - rhs) <= floor
+        np.testing.assert_allclose(x, xs * (1.0 - xs) / 2.0, atol=1e-10)  # Q1 is nodally exact
+
+    def test_a_residual_above_the_floor_still_stalls(self, monkeypatch):
+        monkeypatch.setattr(sparselin, "FLOOR_FACTOR", 0.0)
+        a, rhs, _ = self.chain()
+        _, report = solve_spd(prepare(a), rhs)
+        assert (report.iterations, report.converged) == (10 * rhs.size, False)
+        assert str(solve_failure("step 1/1", report, rhs)) == (
+            f"step 1/1: CG stalled at relative residual {report.final_residual:.3e} (target 1e-12)"
+        )
+
+
+def test_a_fine_mesh_forward_run_exits_0(tmp_path, capsys):
+    # 300 cells, where the CG's 1e-12 target lies below rounding: exit 3 before
+    # the floor rule ("CG stalled at relative residual 6.947e-12").
+    config = tmp_path / "fine.json"
+    config.write_text(json.dumps({
+        "alpha": 0.5, "T": 1.0, "num_steps": 25, "domain": {"a": 0.0, "b": 1.0, "cells": 300},
+        "fields": {"v": "sin(pi*x)", "b": "0", "f": "0", "q_true": "1"},
+    }))
+    assert main(["forward", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""

@@ -109,7 +109,8 @@ def _level(mapping, where: str) -> dict:
 
 REQUIRED = object()  # the default of a key that every config must set
 # The one list of config keys: per level (a nested object is read as a
-# level of its own), each key's parser and its default.
+# level of its own), each key's parser and its default.  A key that sets a
+# ProblemSpec field with a default takes that default from ProblemSpec.
 CONFIG_KEYS = {
     "config": {
         "domain": (_level, REQUIRED),
@@ -117,12 +118,12 @@ CONFIG_KEYS = {
         "alpha": (_real, REQUIRED),
         "T": (_real, REQUIRED),
         "num_steps": (_integer, REQUIRED),
-        "seed": (_integer, 0),
+        "seed": (_integer, ProblemSpec.seed),
         "delta": (_real, 0.0),
         "M1": (_real, 5.0),
-        "M2_floor": (_real, 1e-6),
-        "tol": (_real, 1e-10),
-        "max_iter": (_integer, 50_000),
+        "M2_floor": (_real, ProblemSpec.M2_floor),
+        "tol": (_real, ProblemSpec.fp_tol),
+        "max_iter": (_integer, ProblemSpec.max_iter),
         "alphas": (_orders, [0.25, 0.5, 0.75, 1.0]),
         "deltas": (_noise_levels, [1e-2, 1e-3, 1e-4, 1e-5]),
         "fine_factor": (_integer, None),

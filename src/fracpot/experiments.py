@@ -149,10 +149,6 @@ def rate_sweep(
             width = delta ** (1.0 / 3.0)
             cells = max(2, round((b - a) / width))
             steps = max(1, round(10.0 / width))
-            mesh = build_mesh((a, b), cells, dim)
-            spec = replace(
-                template, alpha=alpha, mesh=mesh, num_steps=steps, seed=template.seed + index
-            )
             factor = _auto_fine_factor(cells, dim) if fine_factor is None else fine_factor
             step_factor = (
                 _auto_fine_factor(steps, dim) if fine_step_factor is None else fine_step_factor
@@ -160,6 +156,10 @@ def rate_sweep(
             start = time.perf_counter()
             failure = None
             try:
+                mesh = build_mesh((a, b), cells, dim)
+                spec = replace(
+                    template, alpha=alpha, mesh=mesh, num_steps=steps, seed=template.seed + index
+                )
                 obs = make_observation(spec, q_true, factor, delta, fine_step_factor=step_factor)
                 result = reconstruct(spec, obs)
                 e_q, iterations = relative_error(result.q_star, q_true, mesh), result.iterations
@@ -171,7 +171,8 @@ def rate_sweep(
             runtime = time.perf_counter() - start
             if failure is not None:
                 logger.warning("sweep row (alpha=%g, delta=%g) failed: %s", alpha, delta, failure)
-            rows.append(RateRow(delta, mesh.h, spec.tau, alpha, e_q, iterations, runtime, failure))
+            h, tau = (b - a) / cells, template.T / steps  # as the row's mesh and spec hold them
+            rows.append(RateRow(delta, h, tau, alpha, e_q, iterations, runtime, failure))
             logger.info(
                 "sweep row alpha=%g delta=%g: e_q=%.4e after %d iterations (%.1fs)",
                 alpha, delta, rows[-1].e_q, rows[-1].iterations, rows[-1].runtime_s,

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import os
+import resource
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Callable
@@ -230,8 +232,30 @@ def grid_index(count: int, dim: int) -> np.ndarray:
     return np.indices((count,) * dim).reshape(dim, -1)[::-1]
 
 
+def memory_budget() -> int:
+    """Bytes this process may use: physical memory, or the address-space soft
+    limit (RLIMIT_AS) where that is finite and smaller."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return physical if soft == resource.RLIM_INFINITY else min(physical, soft)
+
+
+def _mesh_bytes(m: int, dim: int) -> int:
+    """An upper bound of the bytes build_mesh allocates for m cells per axis:
+    every array it makes, temporaries included, counted at 8 bytes an entry
+    and as if none were freed."""
+    nodes, cells = (m + 1) ** dim, m**dim
+    # axis and its 2 temporaries; the node grid, its 3 dim-row masks, the
+    # any() and ~ masks, the coordinates and both node lists; the cell grid,
+    # its first corners and the corner table.
+    return 8 * (3 * (m + 1) + (5 * dim + 3) * nodes + (dim + 1 + 2**dim) * cells)
+
+
 def build_mesh(bounds: tuple[float, float], cells: int, dim: int = 1) -> Mesh:
-    """Build a uniform mesh with `cells` cells per axis on the box bounds^dim."""
+    """Build a uniform mesh with `cells` cells per axis on the box bounds^dim.
+
+    A mesh whose arrays could exceed the memory budget is a MemoryError before
+    any of them is allocated."""
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     a, b = float(bounds[0]), float(bounds[1])
@@ -240,6 +264,12 @@ def build_mesh(bounds: tuple[float, float], cells: int, dim: int = 1) -> Mesh:
     m = int(cells)
     if m < 2:
         raise ValueError(f"need at least 2 cells per axis, got {cells}")
+    need, budget = _mesh_bytes(m, dim), memory_budget()
+    if need > budget:
+        raise MemoryError(
+            f"Unable to allocate {need / 2**30:.3g} GiB for the mesh "
+            f"({m} cells per axis in {dim}D) within {budget / 2**30:.3g} GiB"
+        )
     h = (b - a) / m
     axis = a + h * np.arange(m + 1)
     axis[-1] = b

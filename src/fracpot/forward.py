@@ -27,8 +27,6 @@ exactly zero on the boundary, whose trace is constant in time.
 from __future__ import annotations
 
 import math
-import os
-import resource
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -43,9 +41,10 @@ from .fem import (
     evaluate_at,
     grid_index,
     interpolate_nodal,
+    memory_budget,
     weighted_mass_matrix,
 )
-from .sparselin import prepare_spd, solve_failure, solve_spd
+from .sparselin import SolveFailure, prepare_spd, solve_spd
 
 _BOUND_SLACK = 1e-9
 
@@ -176,20 +175,12 @@ def _check_potential(spec: ProblemSpec, q: NodalField) -> None:
         )
 
 
-def _memory_budget() -> int:
-    """Bytes this process may use: physical memory, or the address-space soft
-    limit (RLIMIT_AS) where that is finite and smaller."""
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-    return physical if soft == resource.RLIM_INFINITY else min(physical, soft)
-
-
 def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
     """March the fully discrete scheme to the final time for a given potential."""
     _check_potential(spec, q)
     mesh = spec.mesh
     n_steps = spec.num_steps
-    history_bytes, budget = (n_steps + 1) * mesh.n_nodes * 8, _memory_budget()
+    history_bytes, budget = (n_steps + 1) * mesh.n_nodes * 8, memory_budget()
     if history_bytes > budget:
         raise MemoryError(
             f"Unable to allocate {history_bytes / 2**30:.3g} GiB for the march history "
@@ -222,9 +213,10 @@ def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
             mesh.product(mass, past, product).take(ii, out=mass_past)
             mass_past *= scale
             np.subtract(rhs_base, mass_past, out=rhs)
-            x, report = solve_spd(system_ii, rhs, x0=x)
-            if not report.converged:
-                raise solve_failure(f"time step {n}/{n_steps}", report, rhs)
+            try:
+                x, _ = solve_spd(system_ii, rhs, x0=x)
+            except SolveFailure as exc:
+                raise SolveFailure(f"time step {n}/{n_steps}: {exc}") from None
             history[n, ii] = x
     frac = np.zeros(mesh.n_nodes)
     frac[ii] = scale * (x + past[ii])

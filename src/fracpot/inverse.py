@@ -15,7 +15,7 @@ import numpy as np
 
 from .fem import Mesh, NodalField, evaluate_at, interpolate_nodal, mass_norm
 from .forward import ProblemSpec, solve_forward
-from .sparselin import prepare_spd, solve_failure, solve_spd
+from .sparselin import SolveFailure, prepare_spd, solve_spd
 
 logger = logging.getLogger(__name__)
 
@@ -75,9 +75,11 @@ def compute_psi_h(mesh: Mesh, obs: ObservationData) -> NodalField:
     with np.errstate(over="ignore"):
         rhs = -mesh.product(mesh.stiffness, obs.g_delta.values)[ii]
         rhs -= mesh.product(mass, full)[ii]
-        interior, report = solve_spd(prepare_spd(block.indptr, block.indices, mass[block.take]), rhs)
-        if not report.converged:
-            raise solve_failure("mass solve for the data Laplacian", report, rhs)
+        system = prepare_spd(block.indptr, block.indices, mass[block.take])
+        try:
+            interior, _ = solve_spd(system, rhs)
+        except SolveFailure as exc:
+            raise SolveFailure(f"mass solve for the data Laplacian: {exc}") from None
     full[ii] = interior
     return NodalField(full, mesh)
 

@@ -23,8 +23,8 @@ FLOOR_FACTOR = 10.0
 
 @dataclass(frozen=True)
 class SolveReport:
+    # solve_spd returns converged solves only; perfbench's tracer reads both fields.
     iterations: int
-    final_residual: float
     converged: bool
 
 
@@ -40,14 +40,6 @@ class SpdSystem:
     indices: np.ndarray
     data: np.ndarray
     inv_diag: np.ndarray
-
-
-def solve_failure(context: str, report: SolveReport, rhs: np.ndarray) -> SolveFailure:
-    """The error for an unconverged solve of `rhs`: `context`, then the cause."""
-    if not math.isfinite(rhs.dot(rhs)):
-        return SolveFailure(f"{context}: the right-hand side has a non-finite norm")
-    stall = f"CG stalled at relative residual {report.final_residual:.3e} (target {REL_TOL:g})"
-    return SolveFailure(f"{context}: {stall}")
 
 
 def prepare_spd(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> SpdSystem:
@@ -78,11 +70,10 @@ def solve_spd(
     target lies below rounding, as on fine 1D meshes, a residual recomputed
     after CG steps that misses it still converges if it is at the rounding
     floor, ||A x - rhs|| <= FLOOR_FACTOR * eps * || |A| |x| + |rhs| ||;
-    |A| |x| is formed only then, and the report keeps the true relative
-    residual.  The iteration cap is 10 times the dimension; hitting it is
-    reported through the returned SolveReport, never hidden.  A right-hand
-    side of non-finite norm is reported as not converged after 0 iterations.
-    An optional x0 warm-starts the iteration.
+    |A| |x| is formed only then.  Only a converged solve returns: a
+    right-hand side of non-finite norm, and hitting the iteration cap of 10
+    times the dimension, raise SolveFailure naming the cause.  An optional
+    x0 warm-starts the iteration.
 
     x sits next to -r in one buffer and p next to A p in another, so one
     multiply and one add update both.  Negation is exact, so -r + s A p rounds
@@ -95,15 +86,15 @@ def solve_spd(
     n = system.inv_diag.size
     if rhs.shape != (n,):
         raise ValueError(f"dimension mismatch: matrix is {(n, n)}, rhs has shape {rhs.shape}")
+    rhs_norm = math.sqrt(rhs.dot(rhs))
+    if not math.isfinite(rhs_norm):
+        raise SolveFailure("the right-hand side has a non-finite norm")
+    if rhs_norm == 0.0:
+        return np.zeros(n), SolveReport(0, True)
     xr = np.zeros((2, n))  # [x, -r]
     x, neg_r = xr
     if x0 is not None:
         x[:] = x0
-    rhs_norm = math.sqrt(rhs.dot(rhs))
-    if not math.isfinite(rhs_norm):
-        return x, SolveReport(0, math.nan, False)
-    if rhs_norm == 0.0:
-        return np.zeros(n), SolveReport(0, 0.0, True)
     pa = np.empty((2, n))  # [p, A p]
     p, ap = pa
     neg_z, scaled = np.empty(n), np.empty((2, n))
@@ -140,7 +131,9 @@ def solve_spd(
             p *= rz_next / rz
             p -= neg_z
             rz = rz_next
-    return x, SolveReport(iterations, res, converged)
+    if not converged:
+        raise SolveFailure(f"CG stalled at relative residual {res:.3e} (target {REL_TOL:g})")
+    return x, SolveReport(iterations, True)
 
 
 def _at_rounding_floor(system: SpdSystem, x: np.ndarray, rhs: np.ndarray, res: float) -> bool:

@@ -104,7 +104,7 @@ def use_dense_solver(monkeypatch):
         return dense
 
     def solve(dense, rhs, x0=None):
-        return np.linalg.solve(dense, rhs), SolveReport(0, 0.0, True)
+        return np.linalg.solve(dense, rhs), SolveReport(0, True)
 
     for module in (forward, inverse):
         monkeypatch.setattr(module, "prepare_spd", prepare)

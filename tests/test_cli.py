@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fracpot import forward
+from fracpot import fem, forward
 from fracpot.cli import _build_parser, load_config, main
 from fracpot.experiments import make_observation, read_field_csv, relative_error, write_field_csv
 from fracpot.fem import build_mesh, interpolate_nodal
@@ -448,11 +448,22 @@ class TestConfigErrors:
 
 
 def test_a_history_over_the_memory_budget_exits_3_before_the_march(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(forward, "_memory_budget", lambda: 1 << 10)
+    monkeypatch.setattr(forward, "memory_budget", lambda: 1 << 10)
     config = write_config(tmp_path)
     assert main(["forward", "--config", str(config), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
+    assert not (tmp_path / "terminal.csv").exists()
+
+
+def test_a_mesh_over_the_memory_budget_exits_3_before_it_is_built(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fem, "memory_budget", lambda: 1 << 10)
+    config = write_config(tmp_path)
+    assert main(["forward", "--config", str(config), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "out of memory: Unable to allocate 2.32e-06 GiB for the mesh "
+        "(20 cells per axis in 1D) within 9.54e-07 GiB\n"
+    )
     assert not (tmp_path / "terminal.csv").exists()
 
 

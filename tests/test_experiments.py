@@ -284,11 +284,28 @@ class TestRateSweep:
 
 
     def test_a_history_over_the_memory_budget_is_a_failed_row(self, monkeypatch):
-        monkeypatch.setattr(forward, "_memory_budget", lambda: 1 << 10)
+        monkeypatch.setattr(forward, "memory_budget", lambda: 1 << 10)
         table = rate_sweep(benchmark_problem_1d(), SMOOTH_POTENTIAL, [1e-2], [0.5])
         (row,) = table.rows
         assert row.failure.startswith("out of memory: Unable to allocate")
         assert math.isnan(row.e_q) and row.iterations == 0
+
+    def test_a_mesh_over_the_memory_budget_is_a_failed_row(self, monkeypatch):
+        # delta 1e-12 asks for 100,000 cells on (0, 10); delta 1e-2 for 46.
+        monkeypatch.setattr(fem, "memory_budget", lambda: fem._mesh_bytes(1000, 1))
+        template = benchmark_problem_1d(max_iter=1)
+        table = rate_sweep(
+            template, SMOOTH_POTENTIAL, [1e-2, 1e-12], [0.5], fine_factor=1, fine_step_factor=1
+        )
+        built, refused = table.rows
+        assert built.iterations == 1 and math.isfinite(built.e_q)
+        assert (built.h, built.tau) == (build_mesh((0.0, 10.0), 46).h, template.T / 46)
+        assert refused.failure == (
+            "out of memory: Unable to allocate 0.0112 GiB for the mesh "
+            "(100000 cells per axis in 1D) within 0.000112 GiB"
+        )
+        assert math.isnan(refused.e_q) and refused.iterations == 0
+        assert (refused.h, refused.tau) == (10.0 / 100_000, template.T / 100_000)
 
 class TestConvergenceHistory:
     def history(self, q0=None):

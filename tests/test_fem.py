@@ -13,6 +13,7 @@ scipy matrix where a test reads rows or indexes blocks.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,56 @@ class TestBuildMesh:
         c = build_mesh((0.0, 1.0), 5)
         assert a.matches(b)
         assert not a.matches(c)
+
+
+def traced_peak(build) -> int:
+    """The tracemalloc peak of `build()` above what was traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestMeshPreflight:
+    """build_mesh checks an upper bound of its arrays against the memory budget
+    before it allocates any of them.  The budget is injected; nothing large is
+    allocated."""
+
+    def test_a_mesh_over_the_budget_is_refused_before_anything_is_allocated(self, monkeypatch):
+        # 300 million cells in 1D: 2.4 GB an array, against a 1 MiB budget.
+        monkeypatch.setattr(fem, "memory_budget", lambda: 1 << 20)
+        message = (
+            r"^Unable to allocate 33\.5 GiB for the mesh \(300000000 cells per axis in 1D\) "
+            r"within 0\.000977 GiB$"
+        )
+
+        def refused():
+            with pytest.raises(MemoryError, match=message):
+                build_mesh((0.0, 1.0), 300_000_000)
+
+        assert traced_peak(refused) < 1 << 20
+
+    @pytest.mark.parametrize("dim, cells", [(1, 7), (2, 5)])
+    def test_a_budget_equal_to_the_estimate_builds_the_same_mesh(self, monkeypatch, dim, cells):
+        expected = build_mesh((0.0, 2.0), cells, dim)
+        monkeypatch.setattr(fem, "memory_budget", lambda: fem._mesh_bytes(cells, dim))
+        mesh = build_mesh((0.0, 2.0), cells, dim)
+        for name in ("node_coords", "elements", "boundary_nodes", "interior_nodes"):
+            np.testing.assert_array_equal(getattr(mesh, name), getattr(expected, name))
+        assert (mesh.dim, mesh.bounds, mesh.cells_per_axis, mesh.h) == (
+            expected.dim, expected.bounds, expected.cells_per_axis, expected.h
+        )
+        monkeypatch.setattr(fem, "memory_budget", lambda: fem._mesh_bytes(cells, dim) - 1)
+        with pytest.raises(MemoryError, match="for the mesh"):
+            build_mesh((0.0, 2.0), cells, dim)
+
+    @pytest.mark.parametrize("dim, cells", [(1, 100_000), (2, 300)])
+    def test_the_estimate_bounds_what_the_build_allocates(self, dim, cells):
+        peak = traced_peak(lambda: build_mesh((0.0, 1.0), cells, dim))
+        assert peak <= fem._mesh_bytes(cells, dim)
 
 
 class TestNodalField:

@@ -13,7 +13,6 @@ prepare_spd takes CSR arrays; `prepare` hands it those of a scipy matrix.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -29,13 +28,13 @@ from fracpot.sparselin import (
     SolveReport,
     SpdSystem,
     prepare_spd,
-    solve_failure,
     solve_spd,
 )
 from conftest import recon_1d_small_t, small_2d
 
 # Nodal values of x(1-x)/2 at x = 0.25, 0.5, 0.75 (exact binary fractions).
 POISSON_M4_SOLUTION = np.array([0.09375, 0.125, 0.09375])
+NONFINITE = r"^the right-hand side has a non-finite norm$"
 
 
 def reference_pcg(a, rhs, x0=None):
@@ -46,7 +45,7 @@ def reference_pcg(a, rhs, x0=None):
         raise ValueError(f"dimension mismatch: matrix is {a.shape}, rhs has {n}")
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
-        return np.zeros(n), SolveReport(0, 0.0, True)
+        return np.zeros(n), SolveReport(0, True)
     diag = a.diagonal()
     if np.any(diag <= 0.0):
         raise ValueError("matrix has a non-positive diagonal entry; not SPD")
@@ -79,7 +78,7 @@ def reference_pcg(a, rhs, x0=None):
             rz_next = float(r @ z)
             p = z + (rz_next / rz) * p
             rz = rz_next
-    return x, SolveReport(iterations, res, bool(res <= REL_TOL))
+    return x, SolveReport(iterations, bool(res <= REL_TOL))
 
 
 def prepare(a):
@@ -94,6 +93,13 @@ def eliminated_laplacian_m4():
     a = sp.diags([[-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0]], [-1, 0, 1]).tocsr() / h
     rhs = np.full(3, h)  # load of f=1 against interior hats
     return a, rhs
+
+
+def laplacian_chain(n):
+    """(A, rhs, nodes) of -u'' = 1 on (0, 1) with n interior nodes: (1/h) tridiag(-1, 2, -1)."""
+    h = 1.0 / (n + 1)
+    a = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr() / h
+    return a, np.full(n, h), np.linspace(h, 1.0 - h, n)
 
 
 def random_spd_systems(count=50):
@@ -224,7 +230,7 @@ class TestSolveSpd:
         system = prepare(sp.identity(5, format="csr"))
         x, report = solve_spd(system, np.zeros(5))
         np.testing.assert_array_equal(x, np.zeros(5))
-        assert report == SolveReport(0, 0.0, True)
+        assert report == SolveReport(0, True)
 
     def test_warm_start_with_exact_solution(self):
         a, rhs = eliminated_laplacian_m4()
@@ -243,23 +249,20 @@ class TestSolveSpd:
             assert res <= 1e-12
 
     def test_laplacian_chain_converges_within_cap(self):
-        n = 99
-        h = 1.0 / (n + 1)
-        a = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr() / h
-        rhs = np.full(n, h)
+        a, rhs, xs = laplacian_chain(99)
         x, report = solve_spd(prepare(a), rhs)
         assert report.converged
-        assert report.iterations <= 10 * n
-        xs = np.linspace(h, 1.0 - h, n)
+        assert report.iterations <= 10 * rhs.size
         np.testing.assert_allclose(x, xs * (1.0 - xs) / 2.0, atol=1e-10)
 
     def test_converged_implies_residual_within_tolerance(self):
         rng = np.random.default_rng(23)
         b = rng.standard_normal((40, 40))
         a = sp.csr_matrix(b.T @ b + np.eye(40))
-        _, report = solve_spd(prepare(a), rng.standard_normal(40))
+        rhs = rng.standard_normal(40)
+        x, report = solve_spd(prepare(a), rhs)
         assert report.converged
-        assert report.final_residual <= REL_TOL
+        assert np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs) <= REL_TOL
 
     def test_nonpositive_diagonal_rejected(self):
         a = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
@@ -281,32 +284,30 @@ class TestSolveSpd:
         ids=["nan", "inf", "norm-overflows"],
     )
     @pytest.mark.parametrize("x0", [None, np.ones(3)], ids=["cold", "warm"])
-    def test_nonfinite_rhs_fails_after_zero_iterations(self, rhs, x0):
-        a, _ = eliminated_laplacian_m4()
-        with np.errstate(over="ignore"):
-            x, report = solve_spd(prepare(a), np.array(rhs), x0)
-        assert report.iterations == 0 and not report.converged
-        assert math.isnan(report.final_residual)
-        np.testing.assert_array_equal(x, np.zeros(3) if x0 is None else x0)
+    def test_nonfinite_rhs_fails_after_zero_iterations(self, monkeypatch, rhs, x0):
+        # No product is formed, so not one CG step runs.
+        system = prepare(eliminated_laplacian_m4()[0])
+        monkeypatch.setattr(sparselin, "csr_matvec", None)
+        with np.errstate(over="ignore"), pytest.raises(SolveFailure, match=NONFINITE):
+            solve_spd(system, np.array(rhs), x0)
 
 
 class TestSolveFailure:
-    """The one error path of an unconverged solve names the caller's context
-    and the cause."""
+    """solve_spd raises its own failures, each naming its cause; only a
+    converged solve returns."""
 
     def test_nonfinite_rhs(self):
-        with np.errstate(over="ignore"):
-            rhs = np.full(3, 1e200)
-            _, report = solve_spd(prepare(eliminated_laplacian_m4()[0]), rhs)
-            failure = solve_failure("step 2/5", report, rhs)
-        assert isinstance(failure, SolveFailure)
-        assert str(failure) == "step 2/5: the right-hand side has a non-finite norm"
+        system = prepare(eliminated_laplacian_m4()[0])
+        with np.errstate(over="ignore"), pytest.raises(SolveFailure, match=NONFINITE):
+            solve_spd(system, np.full(3, 1e200))
 
-    def test_stall_names_residual_and_target(self):
-        failure = solve_failure("step 2/5", SolveReport(30, 6.947e-12, False), np.ones(3))
-        assert str(failure) == (
-            f"step 2/5: CG stalled at relative residual 6.947e-12 (target {REL_TOL:g})"
-        )
+    def test_stall_names_residual_and_target(self, monkeypatch):
+        # Without the floor rule, the 299-unknown chain misses the target.
+        monkeypatch.setattr(sparselin, "FLOOR_FACTOR", 0.0)
+        a, rhs, _ = laplacian_chain(299)
+        stall = rf"^CG stalled at relative residual \d\.\d{{3}}e-\d\d \(target {REL_TOL:g}\)$"
+        with pytest.raises(SolveFailure, match=stall):
+            solve_spd(prepare(a), rhs)
 
 
 class TestRoundingFloor:
@@ -314,16 +315,11 @@ class TestRoundingFloor:
     ||A x - b|| above REL_TOL ||b||: without the floor rule the CG runs to its
     cap of 2990 iterations and stalls at 1.18e-12."""
 
-    def chain(self):
-        n = 299
-        h = 1.0 / (n + 1)
-        a = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr() / h
-        return a, np.full(n, h), np.linspace(h, 1.0 - h, n)
-
     def test_a_residual_at_the_floor_converges(self):
-        a, rhs, xs = self.chain()
+        a, rhs, xs = laplacian_chain(299)
         x, report = solve_spd(prepare(a), rhs)
-        assert report.converged and report.final_residual > REL_TOL
+        assert report.converged
+        assert np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs) > REL_TOL
         assert report.iterations < 10 * rhs.size
         floor = FLOOR_FACTOR * np.finfo(float).eps * np.linalg.norm(abs(a) @ abs(x) + rhs)
         assert np.linalg.norm(a @ x - rhs) <= floor
@@ -331,21 +327,41 @@ class TestRoundingFloor:
 
     def test_a_residual_above_the_floor_still_stalls(self, monkeypatch):
         monkeypatch.setattr(sparselin, "FLOOR_FACTOR", 0.0)
-        a, rhs, _ = self.chain()
-        _, report = solve_spd(prepare(a), rhs)
-        assert (report.iterations, report.converged) == (10 * rhs.size, False)
-        assert str(solve_failure("step 1/1", report, rhs)) == (
-            f"step 1/1: CG stalled at relative residual {report.final_residual:.3e} (target 1e-12)"
-        )
+        a, rhs, _ = laplacian_chain(299)
+        products = []
+
+        def counting_matvec(*args):
+            products.append(1)
+            return csr_matvec(*args)
+
+        monkeypatch.setattr(sparselin, "csr_matvec", counting_matvec)
+        stall = r"^CG stalled at relative residual 1\.182e-12 \(target 1e-12\)$"
+        with pytest.raises(SolveFailure, match=stall):
+            solve_spd(prepare(a), rhs)
+        assert len(products) > 10 * rhs.size  # one per CG step, and the residuals
 
 
-def test_a_fine_mesh_forward_run_exits_0(tmp_path, capsys):
-    # 300 cells, where the CG's 1e-12 target lies below rounding: exit 3 before
-    # the floor rule ("CG stalled at relative residual 6.947e-12").
+def run_fine_mesh_forward(tmp_path) -> int:
+    """`fracpot forward` on 300 cells, where the CG's 1e-12 target lies below rounding."""
     config = tmp_path / "fine.json"
     config.write_text(json.dumps({
         "alpha": 0.5, "T": 1.0, "num_steps": 25, "domain": {"a": 0.0, "b": 1.0, "cells": 300},
         "fields": {"v": "sin(pi*x)", "b": "0", "f": "0", "q_true": "1"},
     }))
-    assert main(["forward", "--config", str(config), "--out", str(tmp_path)]) == 0
+    return main(["forward", "--config", str(config), "--out", str(tmp_path)])
+
+
+def test_a_fine_mesh_forward_run_exits_0(tmp_path, capsys):
+    assert run_fine_mesh_forward(tmp_path) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_without_the_floor_rule_the_fine_mesh_march_stalls_at_its_first_step(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(sparselin, "FLOOR_FACTOR", 0.0)
+    assert run_fine_mesh_forward(tmp_path) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: time step 1/25: "
+        "CG stalled at relative residual 6.947e-12 (target 1e-12)\n"
+    )

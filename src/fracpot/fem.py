@@ -5,6 +5,12 @@
 Gauss points and the nodes a restriction keeps, so 1D and 2D share one path.
 Element integrals use a 2-point Gauss rule per axis, exact for every integrand
 assembled here (the weighted mass integrand is at most cubic per axis).
+
+An operator (M, S, every M_q, the solver's interior block) is stored by its
+3**dim stencil diagonals in scipy's DIA layout: a (3**dim, n) array indexed
+[direction, column], data[k, col] the entry in row col - offsets[k], 0 where no
+element couples the two nodes.  The kernel adds each row's entries in offset
+order; offsets ascend, so that is column order and products are CSR's bitwise.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ def _load_sparsetools():
     `from scipy.sparse import _sparsetools` would run the scipy.sparse package
     init, whose array-API layer loads numpy.f2py, numpy.testing, numpy.ma,
     unittest and email: ~300 modules, ~0.2 s and ~20 MB of resident memory
-    in every process.  fracpot needs only the CSR product kernel, so it loads
+    in every process.  fracpot needs only the DIA product kernel, so it loads
     the extension file alone.  The spec keeps the full module name, so a later
     `import scipy.sparse` in the same process reuses this extension.
     """
@@ -43,11 +49,11 @@ def _load_sparsetools():
     return module
 
 
-# The kernel that `csr @ vector` runs after scipy's operator dispatch (in scipy
-# 1.17, `_cs_matrix._matmul_vector` is np.zeros plus this call).  Calling it
+# The kernel that `dia @ vector` runs after scipy's operator dispatch (in scipy
+# 1.17, `_dia_base._matmul_vector` is np.zeros plus this call).  Calling it
 # directly gives bitwise-identical products without the dispatch, which costs
 # more than the product itself on the small systems of a short march.
-_CSR_MATVEC = _load_sparsetools().csr_matvec
+_DIA_MATVEC = _load_sparsetools().dia_matvec
 
 # 2-point Gauss rule on the reference interval [0, 1], exact for cubics.
 _GAUSS_PTS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -69,14 +75,14 @@ class Mesh:
         (0,0), (1,0), (0,1), (1,1) in local x-fastest convention
     boundary_nodes, interior_nodes : sorted index arrays partitioning nodes
     reference : (phi, dphi, wq, ref_pts), the Gauss tables of the reference cell
-    pattern, mass, stiffness : the Q1 sparsity pattern and the data of M and S
-    interior_block : the BlockMap of the interior x interior block
+    offsets, slot : the ascending offsets col - row of the 3**dim stencil
+        directions, and the flat data position of each (element, i, j) entry
+    mass, stiffness : the data of M and S
+    interior_stencil : (offsets, zero) of the interior x interior block
 
-    The last five depend on the mesh alone; each is built on first use and
-    kept with the mesh.  An operator of the mesh (M, S, every M_q) is its data
-    array in the pattern; `product` multiplies by it, and the solver's interior
-    block is its one cut.  The shared arrays of the reference cell, the
-    pattern, the block, M and S are read-only.
+    The last six depend on the mesh alone; each is built on first use and
+    kept with the mesh, read-only.  `product` multiplies by an operator's
+    data, and the solver's interior block is its one cut.
     """
 
     dim: int
@@ -125,11 +131,15 @@ class Mesh:
         return _read_only(phi, dphi, wq, g[local.T])
 
     @cached_property
-    def pattern(self) -> Pattern:
-        n, e = self.n_nodes, self.elements
-        keys, slot = np.unique((e[:, :, None] * n + e[:, None, :]).ravel(), return_inverse=True)
-        indptr = np.searchsorted(keys, n * np.arange(n + 1)).astype(np.int32)
-        return Pattern(*_read_only(indptr, (keys % n).astype(np.int32), slot.astype(np.int32)))
+    def offsets(self) -> np.ndarray:
+        return _read_only(_stencil_offsets(self.cells_per_axis + 1, self.dim))[0]
+
+    @cached_property
+    def slot(self) -> np.ndarray:
+        # The diagonal of entry (i, j) of every element is that of element 0.
+        e = self.elements
+        direction = np.searchsorted(self.offsets, e[0] - e[0, :, None])
+        return _read_only((direction * self.n_nodes + e[:, None, :]).ravel())[0]
 
     @cached_property
     def mass(self) -> np.ndarray:
@@ -141,52 +151,36 @@ class Mesh:
         return _read_only(_scatter(np.einsum("cip,cjp,p->ij", dphi, dphi, wq), self))[0]
 
     @cached_property
-    def interior_block(self) -> BlockMap:
-        return BlockMap.cut(self.pattern, self.interior_nodes)
+    def interior_stencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offsets, zero): the stencil's offsets on the (M-1)**dim interior grid,
+        some equal at M = 2 and 3 in 2D, and the flat positions in the interior
+        columns of an operator's data of the entries of boundary rows."""
+        boundary = np.zeros(self.n_nodes, dtype=bool)
+        boundary[self.boundary_nodes] = True
+        rows = self.interior_nodes - self.offsets[:, None]
+        offsets = _stencil_offsets(self.cells_per_axis - 1, self.dim)
+        return _read_only(offsets, np.flatnonzero(boundary[rows]))
+
+    def interior_block(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The DIA arrays (offsets, data) of the interior x interior block of the
+        operator with data `data`: a new array of its interior columns, with
+        the entries of boundary rows set to 0."""
+        offsets, zero = self.interior_stencil
+        # C-ordered, unlike data[:, nodes], so the kernel makes no copy of it
+        block = data.take(self.interior_nodes, axis=1)
+        np.put(block, zero, 0.0)
+        return offsets, block
 
     def product(self, data: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(the operator with data `data`) v at every node, into `out` if given.
         Read at some nodes, it is bitwise the product of those rows alone."""
         out = np.empty(self.n_nodes) if out is None else out
-        return csr_matvec(self.pattern.indptr, self.pattern.indices, data, v, out)
+        return dia_matvec(self.offsets, data, v, out)
 
 
-@dataclass(frozen=True, eq=False)
-class Pattern:
-    """The CSR structure of a mesh's Q1 operators, and where element entries go."""
-
-    indptr: np.ndarray  # int32
-    indices: np.ndarray  # int32 columns, sorted within each row
-    slot: np.ndarray  # int32 position in the data of each (element, i, j) entry
-
-
-@dataclass(frozen=True, eq=False)
-class BlockMap:
-    """The CSR structure of the square block nodes x nodes of the matrices of
-    one pattern, and the positions in the pattern's data its entries come from.
-
-    nodes is a sorted node list, so for a matrix `a` of the pattern with data
-    `data`, (indptr, indices, data[take]) are the CSR arrays of scipy's
-    fancy-indexed block `a[np.ix_(nodes, nodes)]`.
-    """
-
-    indptr: np.ndarray  # int32
-    indices: np.ndarray  # int32 block column numbers
-    take: np.ndarray  # intp positions in the pattern's data, in block order
-
-    @classmethod
-    def cut(cls, pattern: Pattern, nodes: np.ndarray) -> BlockMap:
-        n = pattern.indptr.size - 1
-        number = np.full(n, -1, dtype=np.int32)  # block number, -1 outside nodes
-        number[nodes] = np.arange(nodes.size, dtype=np.int32)
-        keep = np.repeat(number >= 0, np.diff(pattern.indptr))
-        keep &= number[pattern.indices] >= 0
-        # Kept entries up to the end of each row; no row of a Q1 pattern is empty.
-        indptr = np.zeros(nodes.size + 1, dtype=np.int32)
-        indptr[1:] = np.cumsum(keep, dtype=np.int32)[pattern.indptr[nodes + 1] - 1]
-        # intp, so that data[take] gathers with no cast and no copy of the index
-        take = np.flatnonzero(keep)
-        return cls(*_read_only(indptr, number[pattern.indices[take]], take))
+def _stencil_offsets(width: int, dim: int) -> np.ndarray:
+    """Offsets col - row of the grid_index(3, dim) steps, `width` points an axis."""
+    return width ** np.arange(dim) @ (grid_index(3, dim) - 1)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -196,15 +190,10 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def csr_matvec(
-    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, v: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """out = A v for the CSR arrays of A (len(out) rows, len(v) columns).
-
-    Bitwise the product `csr @ v`: the same kernel on a zeroed output.
-    """
+def dia_matvec(offsets: np.ndarray, data: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = A v for DIA arrays: bitwise `dia @ v`, the same kernel on a zeroed `out`."""
     out.fill(0.0)
-    _CSR_MATVEC(len(out), len(v), indptr, indices, data, v, out)
+    _DIA_MATVEC(len(out), len(v), len(offsets), data.shape[1], offsets, data, v, out)
     return out
 
 
@@ -251,11 +240,24 @@ def _mesh_bytes(m: int, dim: int) -> int:
     return 8 * (3 * (m + 1) + (5 * dim + 3) * nodes + (dim + 1 + 2**dim) * cells)
 
 
+def _operator_bytes(m: int, dim: int) -> int:
+    """An upper bound of the bytes a mesh of m cells per axis allocates for its
+    operators, counted as _mesh_bytes counts: the slot table, M and S with
+    the flattened element blocks of each scatter, and the interior stencil
+    with one interior block."""
+    nodes, cells, inner, stencil = (m + 1) ** dim, m**dim, (m - 1) ** dim, 3**dim
+    # The slot table and two blocks of 4**dim entries a cell; M and S; the
+    # boundary mask; the stencil's rows, their mask and its zero positions;
+    # one block.
+    return 8 * (3 * 4**dim * cells + (2 * stencil + 1) * nodes + 4 * stencil * inner)
+
+
 def build_mesh(bounds: tuple[float, float], cells: int, dim: int = 1) -> Mesh:
     """Build a uniform mesh with `cells` cells per axis on the box bounds^dim.
 
-    A mesh whose arrays could exceed the memory budget is a MemoryError before
-    any of them is allocated."""
+    A mesh whose arrays, or the operators it builds on first use, could
+    exceed the memory budget is a MemoryError before any of them is
+    allocated."""
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     a, b = float(bounds[0]), float(bounds[1])
@@ -264,7 +266,7 @@ def build_mesh(bounds: tuple[float, float], cells: int, dim: int = 1) -> Mesh:
     m = int(cells)
     if m < 2:
         raise ValueError(f"need at least 2 cells per axis, got {cells}")
-    need, budget = _mesh_bytes(m, dim), memory_budget()
+    need, budget = _mesh_bytes(m, dim) + _operator_bytes(m, dim), memory_budget()
     if need > budget:
         raise MemoryError(
             f"Unable to allocate {need / 2**30:.3g} GiB for the mesh "
@@ -312,12 +314,12 @@ def interpolate_nodal(func: Callable, mesh: Mesh) -> NodalField:
 
 
 def _scatter(local: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """Sum element blocks (ne, nsh, nsh), or one (nsh, nsh) block of all, into the
-    data of the Q1 pattern, in element order, as scipy's COO to CSR conversion
-    sums duplicates."""
-    pattern = mesh.pattern
+    """Sum element blocks (ne, nsh, nsh), or one (nsh, nsh) block of all, into
+    an operator's DIA data, in element order, as scipy's COO to CSR
+    conversion sums duplicates."""
     local = np.broadcast_to(local, (*mesh.elements.shape, local.shape[-1]))
-    return np.bincount(pattern.slot, weights=local.ravel(), minlength=pattern.indices.size)
+    n = mesh.offsets.size
+    return np.bincount(mesh.slot, weights=local.ravel(), minlength=n * mesh.n_nodes).reshape(n, -1)
 
 
 def assemble_operators(mesh: Mesh, q: NodalField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

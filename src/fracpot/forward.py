@@ -6,13 +6,13 @@ per march and solved by CG at every step, where the right-hand side carries
 the convolution-quadrature history.  Boundary nodes are pinned to the
 interpolated boundary data.
 
-The Q1 pattern, M, S and the map of the interior block depend on the mesh
+The Q1 stencil layout, M, S and the interior stencil depend on the mesh
 alone and are kept by the mesh.  Everything else that does not depend on the
 potential (tau^{-alpha} b_0 M + S, the load, nodal f, boundary data, u^0 and
 the CQ weights) is built once per ProblemSpec, on first use, as its
 `discretization`.  A forward solve scatters only M_q, adds its data to that
 of the potential-independent part and gathers the interior block for the
-solver; every other product is `mesh.product` on the whole pattern into one
+solver; every other product is `mesh.product` at every node into one
 preallocated buffer, read at the interior nodes, with no sparse-matrix
 operator in the march.  A march holds exactly (N+1) * n_nodes * 8 bytes of
 history and no second copy of it; the history is local to the march, which
@@ -112,7 +112,7 @@ class ProblemSpec:
         """The potential-independent part of the scheme, built on first use.
 
         It lives in the instance, so `dataclasses.replace` gives a new spec
-        with a setup of its own, which shares the mesh's pattern, M, S and block.
+        with a setup of its own, which shares the mesh's layout, M and S.
         """
         mesh = self.mesh
         ii, bb = mesh.interior_nodes, mesh.boundary_nodes
@@ -126,7 +126,7 @@ class ProblemSpec:
             weights_reversed=np.ascontiguousarray(w[::-1]),
             partial=np.cumsum(w),
             # (s M) + S entry by entry, as scipy adds them, except that an
-            # entry that cancels to exactly 0 stays in the pattern.
+            # entry that cancels to exactly 0 stays in the data.
             base_data=(scale * w[0]) * mesh.mass + mesh.stiffness,
             load_int=assemble_load(mesh, self.f_expr)[ii],
             f_nodes=interpolate_nodal(self.f_expr, mesh).values,
@@ -138,7 +138,7 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class Discretization:
     """Operators and data of a ProblemSpec that do not depend on the potential,
-    beyond the pattern, M, S and the interior block, which its mesh keeps.
+    beyond the layout, M and S, which its mesh keeps.
 
     weights_reversed holds b_N, ..., b_1, b_0 in one contiguous array, so the
     history convolution of step n is the BLAS product of its slice
@@ -148,7 +148,7 @@ class Discretization:
     scale: float  # tau^{-alpha}
     weights_reversed: np.ndarray
     partial: np.ndarray
-    base_data: np.ndarray  # data of tau^{-alpha} b_0 M + S in the mesh's Q1 pattern
+    base_data: np.ndarray  # DIA data of tau^{-alpha} b_0 M + S on the mesh
     load_int: np.ndarray  # interior entries of the load (f, phi_i)
     f_nodes: np.ndarray  # nodal interpolant of f
     boundary_values: np.ndarray  # b at the boundary nodes
@@ -187,10 +187,10 @@ def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
             f"({n_steps + 1} x {mesh.n_nodes} float64) within {budget / 2**30:.3g} GiB"
         )
     setup = spec.discretization
-    ii, bb, block = mesh.interior_nodes, mesh.boundary_nodes, mesh.interior_block
-    # The data of base + M_q, entry by entry as scipy's CSR sum adds them.
+    ii, bb = mesh.interior_nodes, mesh.boundary_nodes
+    # The data of base + M_q, entry by entry as scipy's sparse sum adds them.
     data = setup.base_data + weighted_mass_matrix(mesh, q)
-    system_ii = prepare_spd(block.indptr, block.indices, data[block.take])
+    system_ii = prepare_spd(*mesh.interior_block(data))
     history = np.zeros((n_steps + 1, mesh.n_nodes))
     history[0] = setup.u0
     history[1:, bb] = setup.boundary_values

@@ -69,13 +69,13 @@ def compute_psi_h(mesh: Mesh, obs: ObservationData) -> NodalField:
     if not obs.g_delta.mesh.matches(mesh):
         raise ValueError("data is not aligned with the mesh")
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
-    mass, block = mesh.mass, mesh.interior_block
+    mass = mesh.mass
     full = np.zeros(mesh.n_nodes)
     full[bb] = obs.psi_boundary
     with np.errstate(over="ignore"):
         rhs = -mesh.product(mesh.stiffness, obs.g_delta.values)[ii]
         rhs -= mesh.product(mass, full)[ii]
-        system = prepare_spd(block.indptr, block.indices, mass[block.take])
+        system = prepare_spd(*mesh.interior_block(mass))
         try:
             interior, _ = solve_spd(system, rhs)
         except SolveFailure as exc:

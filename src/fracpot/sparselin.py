@@ -1,9 +1,9 @@
 """Sparse SPD kernel: a Jacobi-preconditioned conjugate gradient solver.
 
-A system matrix is prepared once from its CSR arrays (`prepare_spd`) and then
+A system matrix is prepared once from its DIA arrays (`prepare_spd`) and then
 solved for one right-hand side per call (`solve_spd`), so the checks and the
 inverse diagonal are not rebuilt at every time step.  Every product runs
-`fem.csr_matvec`, the one entry point to scipy's CSR product kernel.
+`fem.dia_matvec`, the one entry point to scipy's DIA product kernel.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import csr_matvec
+from .fem import dia_matvec
 
 REL_TOL = 1e-12  # the one target of every solve in the pipeline
 # A residual within FLOOR_FACTOR eps || |A| |x| + |b| || is as small as forming
@@ -34,28 +34,24 @@ class SolveFailure(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SpdSystem:
-    """A checked SPD matrix in CSR form, with its inverse diagonal."""
+    """A checked SPD matrix in DIA form, with its inverse diagonal."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    offsets: np.ndarray
     data: np.ndarray
     inv_diag: np.ndarray
 
 
-def prepare_spd(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> SpdSystem:
-    """Check the CSR arrays of a square SPD matrix once; keep them, not copies, and
-    the inverse diagonal.  A diagonal entry sums its row's entries in its column,
-    0 if none, as scipy's `diagonal()` does.  Raises SolveFailure for a non-finite
-    entry and ValueError for a non-positive diagonal entry."""
+def prepare_spd(offsets: np.ndarray, data: np.ndarray) -> SpdSystem:
+    """Check the DIA arrays of a square SPD matrix of data.shape[1] rows once; keep
+    them, not copies, and the inverse diagonal, which sums the rows of data at
+    offset 0 (0 if none).  Raises SolveFailure for a non-finite entry and
+    ValueError for a non-positive diagonal entry."""
     if not np.isfinite(data).all():
         raise SolveFailure("system matrix has a non-finite entry")
-    n = indptr.size - 1
-    rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
-    on = np.flatnonzero(indices == rows)  # the diagonal entries, in row order
-    diag = np.bincount(indices[on], weights=data[on], minlength=n)
+    diag = data[offsets == 0].sum(axis=0)
     if np.any(diag <= 0.0):
         raise ValueError("matrix has a non-positive diagonal entry; not SPD")
-    return SpdSystem(indptr, indices, data, 1.0 / diag)
+    return SpdSystem(offsets, data, 1.0 / diag)
 
 
 def solve_spd(
@@ -71,9 +67,10 @@ def solve_spd(
     after CG steps that misses it still converges if it is at the rounding
     floor, ||A x - rhs|| <= FLOOR_FACTOR * eps * || |A| |x| + |rhs| ||;
     |A| |x| is formed only then.  Only a converged solve returns: a
-    right-hand side of non-finite norm, and hitting the iteration cap of 10
-    times the dimension, raise SolveFailure naming the cause.  An optional
-    x0 warm-starts the iteration.
+    right-hand side of non-finite norm (one whose squares overflow included,
+    without numpy's warning), and hitting the iteration cap of 10 times the
+    dimension, raise SolveFailure naming the cause.  An optional x0
+    warm-starts the iteration.
 
     x sits next to -r in one buffer and p next to A p in another, so one
     multiply and one add update both.  Negation is exact, so -r + s A p rounds
@@ -86,7 +83,8 @@ def solve_spd(
     n = system.inv_diag.size
     if rhs.shape != (n,):
         raise ValueError(f"dimension mismatch: matrix is {(n, n)}, rhs has shape {rhs.shape}")
-    rhs_norm = math.sqrt(rhs.dot(rhs))
+    with np.errstate(over="ignore"):
+        rhs_norm = math.sqrt(rhs.dot(rhs))
     if not math.isfinite(rhs_norm):
         raise SolveFailure("the right-hand side has a non-finite norm")
     if rhs_norm == 0.0:
@@ -100,7 +98,7 @@ def solve_spd(
     neg_z, scaled = np.empty(n), np.empty((2, n))
     # Names bound once: the loop body is a dozen calls on short vectors, so
     # attribute lookups are a visible part of its cost.
-    indptr, indices, data, inv_diag = system.indptr, system.indices, system.data, system.inv_diag
+    offsets, data, inv_diag = system.offsets, system.data, system.inv_diag
     multiply, r_dot, p_dot = np.multiply, neg_r.dot, p.dot
 
     cap = 10 * n
@@ -108,7 +106,7 @@ def solve_spd(
     # Outer loop restarts from the true residual, so recurrence drift can
     # never fake convergence.
     while True:
-        np.subtract(csr_matvec(indptr, indices, data, x, ap), rhs, out=neg_r)
+        np.subtract(dia_matvec(offsets, data, x, ap), rhs, out=neg_r)
         res = math.sqrt(r_dot(neg_r)) / rhs_norm
         converged = res <= REL_TOL or (iterations > 0 and _at_rounding_floor(system, x, rhs, res))
         if converged or iterations >= cap:
@@ -118,7 +116,7 @@ def solve_spd(
         rz = float(r_dot(neg_z))
         inner_target = 0.5 * REL_TOL * rhs_norm
         while iterations < cap:
-            csr_matvec(indptr, indices, data, p, ap)
+            dia_matvec(offsets, data, p, ap)
             pap = float(p_dot(ap))
             if pap <= 0.0:
                 raise ValueError("matrix is not positive definite")
@@ -140,7 +138,7 @@ def _at_rounding_floor(system: SpdSystem, x: np.ndarray, rhs: np.ndarray, res: f
     """Whether the relative residual `res` of x is within FLOOR_FACTOR eps of
     || |A| |x| + |rhs| || / ||rhs||, the most that rounding leaves of A x - rhs."""
     abs_data = np.abs(system.data)
-    bound = csr_matvec(system.indptr, system.indices, abs_data, np.abs(x), np.empty_like(x))
+    bound = dia_matvec(system.offsets, abs_data, np.abs(x), np.empty_like(x))
     bound += np.abs(rhs)
     floor = FLOOR_FACTOR * math.ulp(1.0) * math.sqrt(bound.dot(bound) / rhs.dot(rhs))
     return res <= floor < math.inf

@@ -9,12 +9,14 @@ definition: the 1D problem on (0, 10) from configs/sweep_smooth.json and the
 2D problem on (0, 3)^2 from configs/sweep_2d.json.
 
 `coo_scatter` is the Q1 scatter as fem ran it before the mesh kept its
-pattern, scipy's COO to CSR conversion; it is the oracle of fem's scatter.
-`csr` rebuilds the scipy matrix of an operator, which fem keeps as its data
-in the mesh's pattern, for the oracles that index or multiply with scipy.
-`use_dense_solver` swaps the CG of forward and inverse for a dense direct
-solve, so that an oracle can show that it follows whatever solve the program
-uses.
+operator layout, scipy's COO to CSR conversion; it is the oracle of fem's
+scatter.  fem keeps an operator as its DIA data, a (3**dim, n_nodes) array
+indexed [direction, column] at the offsets `mesh.offsets`; `dia_csr` and
+`csr` rebuild the scipy matrix of such arrays, for the oracles that index or
+multiply with scipy, and `dia_arrays` turns a scipy matrix into the arrays
+`prepare_spd` takes.  `use_dense_solver` swaps the CG of forward and inverse
+for a dense direct solve, so that an oracle can show that it follows
+whatever solve the program uses.
 """
 
 from dataclasses import replace
@@ -79,10 +81,32 @@ def small_2d():
     return spec, interpolate_nodal(SMOOTH_POTENTIAL_2D, spec.mesh)
 
 
+def dia_csr(offsets, data):
+    """The scipy CSR matrix of the DIA arrays (offsets, data), with data.shape[1]
+    rows and columns.  The rows of data at a repeated offset add up first, as
+    scipy's DIA format holds each offset once."""
+    unique, which = np.unique(offsets, return_inverse=True)
+    merged = np.zeros((unique.size, data.shape[1]))
+    np.add.at(merged, which, data)
+    n = data.shape[1]
+    return sp.dia_matrix((merged, unique), shape=(n, n)).tocsr()
+
+
 def csr(mesh, data):
-    """The scipy CSR matrix with data `data` in the mesh's Q1 pattern (copies)."""
-    pattern, n = mesh.pattern, mesh.n_nodes
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n), copy=True)
+    """The scipy CSR matrix of the operator with DIA data `data` on the mesh."""
+    return dia_csr(mesh.offsets, data)
+
+
+def dia_arrays(matrix):
+    """(offsets, data) of a square matrix in the layout prepare_spd takes, as
+    scipy's `todia` builds them (without its warning on many diagonals): one
+    ascending offset per diagonal that holds an entry, one column per column."""
+    coo = sp.coo_matrix(matrix)
+    coo.sum_duplicates()
+    offsets, which = np.unique(coo.col - coo.row, return_inverse=True)
+    data = np.zeros((offsets.size, coo.shape[1]))
+    data[which, coo.col] = coo.data
+    return offsets, data
 
 
 def coo_scatter(local, elements, n):
@@ -95,13 +119,10 @@ def coo_scatter(local, elements, n):
 
 def use_dense_solver(monkeypatch):
     """Replace prepare_spd/solve_spd in forward and inverse by np.linalg.solve on
-    the densified CSR block, reported as converged."""
+    the densified DIA block, reported as converged."""
 
-    def prepare(indptr, indices, data):
-        n = indptr.size - 1
-        dense = np.zeros((n, n))
-        dense[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
-        return dense
+    def prepare(offsets, data):
+        return dia_csr(offsets, data).toarray()
 
     def solve(dense, rhs, x0=None):
         return np.linalg.solve(dense, rhs), SolveReport(0, True)

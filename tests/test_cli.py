@@ -461,7 +461,7 @@ def test_a_mesh_over_the_memory_budget_exits_3_before_it_is_built(tmp_path, caps
     config = write_config(tmp_path)
     assert main(["forward", "--config", str(config), "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err == (
-        "out of memory: Unable to allocate 2.32e-06 GiB for the mesh "
+        "out of memory: Unable to allocate 6.9e-06 GiB for the mesh "
         "(20 cells per axis in 1D) within 9.54e-07 GiB\n"
     )
     assert not (tmp_path / "terminal.csv").exists()

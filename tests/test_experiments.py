@@ -301,7 +301,7 @@ class TestRateSweep:
         assert built.iterations == 1 and math.isfinite(built.e_q)
         assert (built.h, built.tau) == (build_mesh((0.0, 10.0), 46).h, template.T / 46)
         assert refused.failure == (
-            "out of memory: Unable to allocate 0.0112 GiB for the mesh "
+            "out of memory: Unable to allocate 0.0343 GiB for the mesh "
             "(100000 cells per axis in 1D) within 0.000112 GiB"
         )
         assert math.isnan(refused.e_q) and refused.iterations == 0

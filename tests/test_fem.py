@@ -8,11 +8,10 @@ dual-route value from test_sparselin through the assembly path.
 
 The scatter oracle is scipy's COO to CSR conversion (conftest.coo_scatter) of
 the very element blocks that each assembly hands to the scatter.  Assembly
-returns an operator's data in the mesh's pattern; conftest.csr rebuilds the
-scipy matrix where a test reads rows or indexes blocks.
+returns an operator's DIA data on the mesh; conftest.csr rebuilds the scipy
+matrix where a test reads rows or indexes blocks.
 """
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -33,14 +32,14 @@ from fracpot.fem import (
     weighted_mass_matrix,
 )
 from fracpot.expressions import ExprError, parse_field_expr
-from conftest import coo_scatter, csr
+from conftest import coo_scatter, csr, dia_arrays, dia_csr
 
 POISSON_M4_SOLUTION = np.array([0.09375, 0.125, 0.09375])
 
 
 def eliminate_boundary(data, rhs, lift):
     """Dense interior system (A_ii, r_i - A_ib x_b) for prescribed boundary values,
-    where A has data `data` in the mesh's pattern."""
+    where A has DIA data `data` on the mesh."""
     mesh = lift.mesh
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
     matrix = csr(mesh, data)
@@ -110,7 +109,7 @@ class TestMeshPreflight:
         # 300 million cells in 1D: 2.4 GB an array, against a 1 MiB budget.
         monkeypatch.setattr(fem, "memory_budget", lambda: 1 << 20)
         message = (
-            r"^Unable to allocate 33\.5 GiB for the mesh \(300000000 cells per axis in 1D\) "
+            r"^Unable to allocate 103 GiB for the mesh \(300000000 cells per axis in 1D\) "
             r"within 0\.000977 GiB$"
         )
 
@@ -123,21 +122,46 @@ class TestMeshPreflight:
     @pytest.mark.parametrize("dim, cells", [(1, 7), (2, 5)])
     def test_a_budget_equal_to_the_estimate_builds_the_same_mesh(self, monkeypatch, dim, cells):
         expected = build_mesh((0.0, 2.0), cells, dim)
-        monkeypatch.setattr(fem, "memory_budget", lambda: fem._mesh_bytes(cells, dim))
+        estimate = fem._mesh_bytes(cells, dim) + fem._operator_bytes(cells, dim)
+        monkeypatch.setattr(fem, "memory_budget", lambda: estimate)
         mesh = build_mesh((0.0, 2.0), cells, dim)
         for name in ("node_coords", "elements", "boundary_nodes", "interior_nodes"):
             np.testing.assert_array_equal(getattr(mesh, name), getattr(expected, name))
         assert (mesh.dim, mesh.bounds, mesh.cells_per_axis, mesh.h) == (
             expected.dim, expected.bounds, expected.cells_per_axis, expected.h
         )
-        monkeypatch.setattr(fem, "memory_budget", lambda: fem._mesh_bytes(cells, dim) - 1)
+        monkeypatch.setattr(fem, "memory_budget", lambda: estimate - 1)
         with pytest.raises(MemoryError, match="for the mesh"):
             build_mesh((0.0, 2.0), cells, dim)
+
+    def test_a_mesh_whose_operators_exceed_the_budget_is_refused(self, monkeypatch):
+        # 3000^2 cells: a budget that holds the mesh's own arrays (1.34 GiB)
+        # but not the operators it builds on first use.
+        monkeypatch.setattr(fem, "memory_budget", lambda: fem._mesh_bytes(3000, 2))
+        message = (
+            r"^Unable to allocate 8\.25 GiB for the mesh \(3000 cells per axis in 2D\) "
+            r"within 1\.34 GiB$"
+        )
+
+        def refused():
+            with pytest.raises(MemoryError, match=message):
+                build_mesh((0.0, 1.0), 3000, 2)
+
+        assert traced_peak(refused) < 1 << 20
 
     @pytest.mark.parametrize("dim, cells", [(1, 100_000), (2, 300)])
     def test_the_estimate_bounds_what_the_build_allocates(self, dim, cells):
         peak = traced_peak(lambda: build_mesh((0.0, 1.0), cells, dim))
         assert peak <= fem._mesh_bytes(cells, dim)
+
+    @pytest.mark.parametrize("dim, cells", [(1, 100_000), (2, 300)])
+    def test_the_operator_estimate_bounds_what_the_operators_allocate(self, dim, cells):
+        mesh = build_mesh((0.0, 1.0), cells, dim)
+
+        def operators():
+            return mesh.slot, mesh.mass, mesh.stiffness, mesh.interior_block(mesh.mass)
+
+        assert traced_peak(operators) <= fem._operator_bytes(cells, dim)
 
 
 class TestNodalField:
@@ -250,8 +274,10 @@ class TestAssembly2D:
         assert load.sum() == pytest.approx(0.25, abs=1e-13)
 
 
+# 2 and 3 cells per axis in 2D give interior offsets that coincide.
+SCATTER_SIZES = [(1, 2), (1, 3), (1, 7), (1, 50), (1, 300), (2, 2), (2, 3), (2, 7), (2, 12), (2, 90)]
 SCATTER_MESHES = pytest.mark.parametrize(
-    "dim, cells", [(1, 50), (1, 300), (2, 12), (2, 90)], ids=["1d_50", "1d_300", "2d_12", "2d_90"]
+    "dim, cells", SCATTER_SIZES, ids=[f"{dim}d_{cells}" for dim, cells in SCATTER_SIZES]
 )
 
 
@@ -268,27 +294,33 @@ class TestScatterOracle:
             return scatter(local, mesh)
 
         monkeypatch.setattr(fem, "_scatter", recording)
-        pattern = mesh.pattern
         operators = [mass_matrix(mesh), mesh.stiffness, weighted_mass_matrix(mesh, q)]
         assert len(blocks) == len(operators)
         for operator, local in zip(operators, blocks):
             reference = coo_scatter(local, mesh.elements, mesh.n_nodes)
-            # An operator is its data in the pattern, whose arrays are scipy's.
-            np.testing.assert_array_equal(pattern.indptr, reference.indptr)
-            np.testing.assert_array_equal(pattern.indices, reference.indices)
-            np.testing.assert_array_equal(operator, reference.data)
+            # An operator is scipy's DIA data of that matrix, its zeros included.
+            offsets, data = dia_arrays(reference)
+            np.testing.assert_array_equal(mesh.offsets, offsets)
+            np.testing.assert_array_equal(operator, data)
+            assert (csr(mesh, operator) != reference).nnz == 0
 
     @SCATTER_MESHES
     def test_block_maps_cut_the_blocks_scipy_indexes(self, dim, cells):
+        """An operator's interior block is scipy's fancy-indexed block, and its
+        product is bitwise that block's, where interior offsets coincide too."""
         mesh = build_mesh((0.0, 1.0), cells, dim)
         ii = mesh.interior_nodes
-        stiff = mesh.stiffness
-        matrix = csr(mesh, stiff)
-        block, expected = mesh.interior_block, matrix[np.ix_(ii, ii)]
-        np.testing.assert_array_equal(block.indptr, expected.indptr)
-        np.testing.assert_array_equal(block.indices, expected.indices)
-        np.testing.assert_array_equal(stiff[block.take], expected.data)
-        assert block.take.dtype == np.intp  # data[take] casts no index
+        rng = np.random.default_rng(cells)
+        q = NodalField(rng.uniform(0.0, 5.0, mesh.n_nodes), mesh)
+        for data in (mesh.stiffness, weighted_mass_matrix(mesh, q)):
+            offsets, block = mesh.interior_block(data)
+            expected = csr(mesh, data)[np.ix_(ii, ii)]
+            assert block.shape == (mesh.offsets.size, ii.size)
+            assert block.flags.c_contiguous  # the kernel would copy any other layout
+            assert (dia_csr(offsets, block) != expected).nnz == 0
+            v = rng.standard_normal(ii.size)
+            out = fem.dia_matvec(offsets, block, v, np.full(ii.size, np.nan))
+            np.testing.assert_array_equal(out, expected @ v)
 
     @SCATTER_MESHES
     def test_product_at_the_interior_is_the_interior_rows_product(self, dim, cells):
@@ -392,22 +424,18 @@ class TestTensorOracle:
 
 
 class TestSharedArrays:
-    """The reference cell, the pattern, the interior block, M and S are shared
-    by every operator, system and caller of a mesh, and prepare_spd keeps what
-    it is given: an in-place write into any of them must fail."""
+    """The reference cell, the offsets and slots of the layout, the interior
+    stencil, M and S are shared by every operator, system and caller of a
+    mesh, and prepare_spd keeps what it is given: an in-place write into any
+    of them must fail."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_in_place_writes_raise(self, dim):
         mesh = build_mesh((0.0, 1.0), 4, dim)
-        owners = {"pattern": mesh.pattern, "interior_block": mesh.interior_block}
-        arrays = {
-            f"{owner}.{field.name}": getattr(obj, field.name)
-            for owner, obj in owners.items()
-            for field in dataclasses.fields(obj)
-        }
-        arrays.update(mass=mesh.mass, stiffness=mesh.stiffness)
-        arrays.update((f"reference[{k}]", array) for k, array in enumerate(mesh.reference))
-        assert len(arrays) == 12
+        arrays = dict(offsets=mesh.offsets, slot=mesh.slot, mass=mesh.mass, stiffness=mesh.stiffness)
+        for name in ("interior_stencil", "reference"):
+            arrays.update((f"{name}[{k}]", array) for k, array in enumerate(getattr(mesh, name)))
+        assert len(arrays) == 10
         assert [name for name, array in arrays.items() if array.flags.writeable] == []
         for array in arrays.values():
             with pytest.raises(ValueError, match="read-only"):

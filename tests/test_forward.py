@@ -17,8 +17,9 @@ mesh, with fancy-indexed blocks and scipy products on an M that it assembles
 itself.  It solves with the prepare_spd and solve_spd that forward holds when
 it runs, so it pins the loop's arithmetic, not the solver: the march must
 reproduce it bit for bit, with the CG and with a dense direct solve.
-Assembly returns an operator's data in the mesh's pattern; conftest.csr
-rebuilds the scipy matrices of these oracles.
+Assembly returns an operator's DIA data on the mesh; conftest.csr rebuilds
+the scipy matrices of these oracles, and conftest.dia_arrays hands their
+interior block to prepare_spd.
 """
 
 import dataclasses
@@ -50,6 +51,8 @@ from conftest import (
     benchmark_problem_2d,
     coo_scatter,
     csr,
+    dia_arrays,
+    dia_csr,
     recon_1d_small_t,
     small_2d,
     use_dense_solver,
@@ -108,7 +111,7 @@ def reference_march(spec, q):
     base = (setup.scale * w0) * mass + csr(mesh, mesh.stiffness)
     system = base + csr(mesh, weighted_mass_matrix(mesh, q))
     block = system[np.ix_(ii, ii)]
-    system_ii = forward.prepare_spd(block.indptr, block.indices, block.data)
+    system_ii = forward.prepare_spd(*dia_arrays(block))
     rhs_base = setup.load_int - system[np.ix_(ii, bb)] @ setup.boundary_values
 
     history = np.empty((n_steps + 1, mesh.n_nodes))
@@ -286,10 +289,10 @@ class TestSetupLifetime:
         changed = dataclasses.replace(spec, f_expr=lambda x: 4.0 - x)
         solve_forward(changed, q)
         assert changed.discretization is not spec.discretization
-        assert changed.mesh.pattern is spec.mesh.pattern
+        assert changed.mesh.slot is spec.mesh.slot
         assert changed.mesh.mass is spec.mesh.mass
         assert changed.mesh.stiffness is spec.mesh.stiffness
-        assert changed.mesh.interior_block is spec.mesh.interior_block
+        assert changed.mesh.interior_stencil is spec.mesh.interior_stencil
         assert len(calls) == 1
 
     def test_the_march_keeps_no_history(self):
@@ -353,9 +356,7 @@ class TestMarchOracle:
 
         ii = spec.mesh.interior_nodes
         (gathered,) = prepared
-        expected = system[np.ix_(ii, ii)]
-        for array, name in zip(gathered, ("indptr", "indices", "data")):
-            np.testing.assert_array_equal(array, getattr(expected, name))
+        assert (dia_csr(*gathered) != system[np.ix_(ii, ii)]).nnz == 0
 
     @MARCH_PROBLEMS
     def test_the_reference_follows_the_solver(self, monkeypatch, problem):
@@ -454,8 +455,8 @@ def pipeline(spec, q):
 
 
 class TestSparseFreePipeline:
-    """No scipy matrix is built at run time: operators are data in the mesh's
-    pattern, and every system and norm runs on CSR arrays."""
+    """No scipy matrix is built at run time: operators are DIA data on the
+    mesh, and every system and norm runs on DIA arrays."""
 
     @MARCH_PROBLEMS
     def test_builds_no_sparse_matrix(self, monkeypatch, problem):

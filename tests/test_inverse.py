@@ -8,7 +8,8 @@ where the fixed point recovers the interpolated truth almost exactly.
 
 `reference_psi_h` is compute_psi_h as it was before the mesh kept M and the
 maps of its blocks: a fresh M, fancy-indexed blocks and scipy products, on
-the matrices that conftest.csr rebuilds.  It solves with the prepare_spd and
+the matrices that conftest.csr rebuilds, whose interior block
+conftest.dia_arrays hands to prepare_spd.  It solves with the prepare_spd and
 solve_spd that inverse holds when it runs, so compute_psi_h must reproduce it
 bit for bit with the CG and with a dense direct solve.
 """
@@ -44,6 +45,7 @@ from conftest import (
     SMOOTH_POTENTIAL,
     benchmark_problem_1d,
     csr,
+    dia_arrays,
     recon_1d_small_t,
     small_2d,
     use_dense_solver,
@@ -57,7 +59,7 @@ def reference_psi_h(mesh, g_delta, psi_b):
     mass, stiff = csr(mesh, mass_matrix(mesh)), csr(mesh, mesh.stiffness)
     rhs = -(stiff @ g_delta.values)[ii] - mass[np.ix_(ii, bb)] @ psi_b
     block = mass[np.ix_(ii, ii)]
-    system = inverse.prepare_spd(block.indptr, block.indices, block.data)
+    system = inverse.prepare_spd(*dia_arrays(block))
     interior, _ = inverse.solve_spd(system, rhs)
     full = np.empty(mesh.n_nodes)
     full[ii] = interior

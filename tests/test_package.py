@@ -8,7 +8,7 @@ That check matches bare names, so a method name that several classes define
 must be listed in SHARED_METHODS with the production code that reads it.  A
 public field of a public class counts only through an attribute read: a bare
 name of the same spelling, such as a local variable, does not read it.
-The one scipy import is the scipy package itself, in fem, which loads the CSR
+The one scipy import is the scipy package itself, in fem, which loads the DIA
 kernel's extension file without the scipy.sparse package.
 """
 
@@ -56,8 +56,8 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def test_the_one_scipy_import_is_the_scipy_package_in_fem():
-    """Operators are data in the mesh's pattern, so no module builds a scipy
-    matrix; fem loads scipy's CSR product kernel from its file, and imports
+    """Operators are DIA data on the mesh, so no module builds a scipy
+    matrix; fem loads scipy's DIA product kernel from its file, and imports
     nothing else of scipy."""
     imports = []
     for path in SOURCES:
@@ -94,7 +94,7 @@ def test_the_cli_loads_the_kernel_without_the_scipy_sparse_package():
 def test_a_later_scipy_sparse_import_reuses_the_loaded_kernel():
     import scipy.sparse._sparsetools
 
-    assert scipy.sparse._sparsetools.csr_matvec is fracpot.fem._CSR_MATVEC
+    assert scipy.sparse._sparsetools.dia_matvec is fracpot.fem._DIA_MATVEC
 
 
 def test_a_missing_kernel_is_an_import_error_naming_where_and_which_scipy(tmp_path):

@@ -9,7 +9,8 @@ x(1-x)/2 (Q1 nodal exactness for -u'' = 1 with constant load).
 `a @ v` products, fresh temporaries and np.linalg.norm.  The prepared solver
 must reproduce it bit for bit, on the benchmark's systems and on random ones.
 
-prepare_spd takes CSR arrays; `prepare` hands it those of a scipy matrix.
+prepare_spd takes DIA arrays; `prepare` hands it those of a scipy matrix
+(conftest.dia_arrays), and conftest.dia_csr rebuilds a recorded system.
 """
 
 import json
@@ -20,7 +21,7 @@ import scipy.sparse as sp
 
 from fracpot import forward, sparselin
 from fracpot.cli import main
-from fracpot.fem import csr_matvec
+from fracpot.fem import dia_matvec
 from fracpot.sparselin import (
     FLOOR_FACTOR,
     REL_TOL,
@@ -30,7 +31,7 @@ from fracpot.sparselin import (
     prepare_spd,
     solve_spd,
 )
-from conftest import recon_1d_small_t, small_2d
+from conftest import dia_arrays, dia_csr, recon_1d_small_t, small_2d
 
 # Nodal values of x(1-x)/2 at x = 0.25, 0.5, 0.75 (exact binary fractions).
 POISSON_M4_SOLUTION = np.array([0.09375, 0.125, 0.09375])
@@ -82,9 +83,8 @@ def reference_pcg(a, rhs, x0=None):
 
 
 def prepare(a):
-    """prepare_spd on the CSR arrays of a scipy matrix."""
-    a = sp.csr_matrix(a)
-    return prepare_spd(a.indptr, a.indices, a.data)
+    """prepare_spd on the DIA arrays of a scipy matrix."""
+    return prepare_spd(*dia_arrays(a))
 
 
 def eliminated_laplacian_m4():
@@ -127,9 +127,8 @@ def march_solves(monkeypatch, spec, q):
     monkeypatch.setattr(forward, "solve_spd", recording_solve)
     forward.solve_forward(spec, q)
     monkeypatch.undo()
-    ((indptr, indices, data),) = matrices
-    n = indptr.size - 1
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=True), solves
+    ((offsets, data),) = matrices
+    return dia_csr(offsets, data), solves
 
 
 def assert_bitwise_like_reference(a, rhs, x0=None):
@@ -163,35 +162,34 @@ class TestBitwiseOracle:
         system = prepare(a)
         v = np.random.default_rng(3).standard_normal(a.shape[0])
         out = np.full(a.shape[0], np.nan)
-        product = csr_matvec(system.indptr, system.indices, system.data, v, out)
+        product = dia_matvec(system.offsets, system.data, v, out)
         np.testing.assert_array_equal(product, a @ v)
         np.testing.assert_array_equal(out, a @ v)
+        np.testing.assert_array_equal(out, sp.dia_matrix(a) @ v)
 
 
 class TestPrepareSpd:
     def test_keeps_the_arrays_it_is_given(self):
         a, _ = eliminated_laplacian_m4()
-        system = prepare_spd(a.indptr, a.indices, a.data)
+        offsets, data = dia_arrays(a)
+        system = prepare_spd(offsets, data)
         assert isinstance(system, SpdSystem) and system.inv_diag.shape == (3,)
-        assert system.indptr is a.indptr and system.indices is a.indices
-        assert system.data is a.data
+        assert system.offsets is offsets and system.data is data
         np.testing.assert_array_equal(system.inv_diag, 1.0 / a.diagonal())
 
     def test_diagonal_is_read_as_scipy_reads_it(self):
-        # Unsorted columns and a diagonal entry split in two, as a CSR matrix
-        # with duplicates holds them: the two parts add up.
-        indptr = np.array([0, 3, 5, 6], dtype=np.int32)
-        indices = np.array([1, 0, 0, 1, 0, 2], dtype=np.int32)
-        data = np.array([-1.0, 1.5, 2.5, 3.0, -1.0, 5.0])
-        a = sp.csr_matrix((data, indices, indptr), shape=(3, 3), copy=True)
-        system = prepare_spd(indptr, indices, data)
-        np.testing.assert_array_equal(system.inv_diag, 1.0 / a.diagonal())
+        # Offset 0 twice (the interior block of a 2D mesh of 2 cells per axis
+        # holds it three times): the rows add up, as in the matrix whose
+        # diagonal scipy reads.
+        offsets = np.array([-1, 0, 0, 1])
+        data = np.array([[0.0, 1.5, 9.0], [2.5, 0.0, 5.0], [1.5, 3.0, 0.0], [0.0, -1.0, 7.0]])
+        system = prepare_spd(offsets, data)
+        np.testing.assert_array_equal(system.inv_diag, 1.0 / dia_csr(offsets, data).diagonal())
         np.testing.assert_array_equal(system.inv_diag, [0.25, 1.0 / 3.0, 0.2])
 
     def test_row_without_a_diagonal_entry_rejected(self):
-        indptr = np.array([0, 1, 2], dtype=np.int32)
         with pytest.raises(ValueError, match="diagonal"):
-            prepare_spd(indptr, np.array([0, 0], dtype=np.int32), np.array([2.0, 1.0]))
+            prepare_spd(np.array([-1, 1]), np.array([[0.0, 2.0], [1.0, 0.0]]))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_nonfinite_entry_rejected(self, bad):
@@ -287,8 +285,8 @@ class TestSolveSpd:
     def test_nonfinite_rhs_fails_after_zero_iterations(self, monkeypatch, rhs, x0):
         # No product is formed, so not one CG step runs.
         system = prepare(eliminated_laplacian_m4()[0])
-        monkeypatch.setattr(sparselin, "csr_matvec", None)
-        with np.errstate(over="ignore"), pytest.raises(SolveFailure, match=NONFINITE):
+        monkeypatch.setattr(sparselin, "dia_matvec", None)
+        with pytest.raises(SolveFailure, match=NONFINITE):
             solve_spd(system, np.array(rhs), x0)
 
 
@@ -298,7 +296,7 @@ class TestSolveFailure:
 
     def test_nonfinite_rhs(self):
         system = prepare(eliminated_laplacian_m4()[0])
-        with np.errstate(over="ignore"), pytest.raises(SolveFailure, match=NONFINITE):
+        with pytest.raises(SolveFailure, match=NONFINITE):
             solve_spd(system, np.full(3, 1e200))
 
     def test_stall_names_residual_and_target(self, monkeypatch):
@@ -332,9 +330,9 @@ class TestRoundingFloor:
 
         def counting_matvec(*args):
             products.append(1)
-            return csr_matvec(*args)
+            return dia_matvec(*args)
 
-        monkeypatch.setattr(sparselin, "csr_matvec", counting_matvec)
+        monkeypatch.setattr(sparselin, "dia_matvec", counting_matvec)
         stall = r"^CG stalled at relative residual 1\.182e-12 \(target 1e-12\)$"
         with pytest.raises(SolveFailure, match=stall):
             solve_spd(prepare(a), rhs)

@@ -3,7 +3,8 @@
 The paper's benchmark problems are defined once, by the JSON configs in
 `configs/`.  Sweeps couple the discretization to the noise level through
 h = delta^(1/3) and tau = delta^(1/3) * T / 10, snapping cell and step
-counts to integers and reporting the values actually used.
+counts to integers and reporting the values actually used.  `_write_csv` is
+the one format rule of every CSV file fracpot writes.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import csv
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -189,67 +191,63 @@ def rate_sweep(
     return RateTable(rows, slopes)
 
 
-def write_field_csv(path, field: NodalField) -> None:
-    """Dump a nodal field as node_index,x[,y],value with full precision."""
-    mesh = field.mesh
+def _write_csv(path, header, columns) -> None:
+    """Write the header, then one row per position of the columns.  Floats get
+    17 significant digits; any other value is written as csv.writer writes it
+    (ints as digits, None as an empty cell); rows end in \\r\\n."""
+    rows = ([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in zip(*columns))
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["node_index", *"xy"[: mesh.dim], "value"])
-        for i in range(mesh.n_nodes):
-            coords = [f"{c:.17g}" for c in mesh.node_coords[i]]
-            writer.writerow([i, *coords, f"{field.values[i]:.17g}"])
+        csv.writer(handle).writerows(chain([header], rows))
+
+
+def write_field_csv(path, field: NodalField) -> None:
+    """Dump a nodal field as node_index,x[,y],value."""
+    mesh = field.mesh
+    columns = [range(mesh.n_nodes), *mesh.node_coords.T.tolist(), field.values.tolist()]
+    _write_csv(path, ["node_index", *"xy"[: mesh.dim], "value"], columns)
+
+
+def _refuse(bad: np.ndarray, fault) -> None:
+    """Raise ValueError(fault(i)) at the first row i where bad holds."""
+    if bad.any():
+        raise ValueError(fault(np.argmax(bad)))
 
 
 def read_field_csv(path, mesh: Mesh) -> NodalField:
-    """Read a field dump and check it against the expected mesh."""
+    """Read a field dump and check it against the mesh a column at a time: the
+    column count, an integer node index inside the mesh, the coordinates (rtol
+    1e-9, atol 1e-12) and one finite value per node, naming the first fault."""
+    n, expected = mesh.n_nodes, 2 + mesh.dim
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        expected = 2 + mesh.dim
-        if header is None or len(header) != expected:
-            raise ValueError(f"field dump must have {expected} columns for a {mesh.dim}D mesh")
-        values = np.full(mesh.n_nodes, np.nan)
-        count = 0
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != expected:
-                raise ValueError(f"row {row!r} has {len(row)} columns, the header has {expected}")
-            index = int(row[0])
-            if not 0 <= index < mesh.n_nodes:
-                raise ValueError(f"node index {index} outside the mesh (0..{mesh.n_nodes - 1})")
-            coords = np.array([float(c) for c in row[1:-1]])
-            if not np.allclose(coords, mesh.node_coords[index], rtol=1e-9, atol=1e-12):
-                raise ValueError(f"node {index} coordinates do not match the mesh")
-            values[index] = float(row[-1])
-            count += 1
-    if count != mesh.n_nodes or not np.all(np.isfinite(values)):
-        raise ValueError(f"field dump covers {count} of {mesh.n_nodes} nodes")
-    return NodalField(values, mesh)
+        header, rows = next(reader, []), list(filter(None, reader))  # blank rows are skipped
+    if len(header) != expected:
+        raise ValueError(f"field dump must have {expected} columns for a {mesh.dim}D mesh")
+    width = np.fromiter(map(len, rows), dtype=int, count=len(rows))
+    _refuse(width != expected, lambda i: f"row {rows[i]} has {width[i]} columns, not {expected}")
+    table = np.array(rows, dtype=float).reshape(-1, expected)
+    index, values = table[:, 0], table[:, -1]
+    stray = (index != np.floor(index)) | (index < 0) | (index >= n)
+    _refuse(stray, lambda i: f"row {rows[i]}: the node index is not an integer in 0..{n - 1}")
+    index = index.astype(np.intp)
+    close = np.isclose(table[:, 1:-1], mesh.node_coords[index], rtol=1e-9, atol=1e-12)
+    _refuse(~close.all(axis=1), lambda i: f"node {index[i]} coordinates do not match the mesh")
+    counts = np.bincount(index, minlength=n)
+    _refuse(counts[index] > 1, lambda i: f"node {index[i]} appears {counts[index[i]]} times")
+    _refuse(~np.isfinite(values), lambda i: f"node {index[i]} has a non-finite value")
+    if index.size != n:
+        raise ValueError(f"field dump covers {index.size} of {n} nodes")
+    return NodalField(values[np.argsort(index)], mesh)
 
 
 def write_history_csv(path, errors, increments) -> None:
-    """Dump k,e_k,increment rows; increment at k is ||q_k - q_{k-1}||."""
-    n_rows = max(len(increments) + 1, len(errors) if errors is not None else 0)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", "e_k", "increment"])
-        for k in range(n_rows):
-            e_k = errors[k] if errors is not None and k < len(errors) else float("nan")
-            inc = increments[k - 1] if 1 <= k <= len(increments) else float("nan")
-            writer.writerow([k, f"{e_k:.17g}", f"{inc:.17g}"])
+    """Dump k,e_k,increment rows; increment at k is ||q_k - q_{k-1}||; a missing value is nan."""
+    nan = float("nan")
+    rows = list(zip_longest([] if errors is None else errors, [nan, *increments], fillvalue=nan))
+    _write_csv(path, ["k", "e_k", "increment"], [range(len(rows)), *zip(*rows)])
 
 
 def write_sweep_csv(path, table: RateTable) -> None:
-    """Dump delta,h,tau,alpha,e_q,iterations,runtime_s,failure rows; failure is
-    empty for a good row."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["delta", "h", "tau", "alpha", "e_q", "iterations", "runtime_s", "failure"])
-        for r in table.rows:
-            writer.writerow(
-                [
-                    f"{r.delta:.17g}", f"{r.h:.17g}", f"{r.tau:.17g}", f"{r.alpha:.17g}",
-                    f"{r.e_q:.17g}", r.iterations, f"{r.runtime_s:.17g}", r.failure or "",
-                ]
-            )
+    """Dump one row per RateRow, its fields as the columns; a good row's failure is empty."""
+    header = [f.name for f in fields(RateRow)]
+    _write_csv(path, header, [[getattr(r, name) for r in table.rows] for name in header])

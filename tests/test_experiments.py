@@ -4,7 +4,8 @@ Observation tests pin the noise contract (interior-only, seeded, bitwise
 reproducible) and the frozen boundary values q(0)*b(0) - f(0) = -6 of the
 smooth benchmark.  Sweep tests verify the h = delta^(1/3), tau = delta^(1/3)
 * T / 10 coupling on the integer grids actually used, plus failure-row
-bookkeeping.  CSV tests round-trip full-precision dumps.
+bookkeeping.  CSV tests round-trip full-precision dumps, pin every writer's
+bytes, and check that the reader names the first fault in a dump.
 """
 
 import csv
@@ -385,6 +386,49 @@ class TestCsvIO:
         with pytest.raises(ValueError, match="covers"):
             read_field_csv(path, mesh)
 
+    @pytest.mark.parametrize(
+        "node, line, fault",
+        [
+            (3, "2,0.5,1", "node 2 appears 2 times"),  # node 2's row again, in node 3's place
+            (2, "2,0.5,nan", "node 2 has a non-finite value"),
+            (2, "2.5,0.5,1", r"row \['2.5', '0.5', '1'\]: the node index is not an integer in 0"),
+        ],
+        ids=["duplicated-node", "nan-value", "non-integer-index"],
+    )
+    def test_read_names_the_fault_and_the_first_node_or_row(self, tmp_path, node, line, fault):
+        mesh = build_mesh((0.0, 1.0), 4)
+        path = tmp_path / "faulty.csv"
+        write_field_csv(path, NodalField(np.ones(mesh.n_nodes), mesh))
+        lines = path.read_text().splitlines()
+        lines[1 + node] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=fault):
+            read_field_csv(path, mesh)
+
+    def test_field_dump_bytes_1d(self, tmp_path):
+        mesh = build_mesh((0.0, 1.0), 4)
+        path = tmp_path / "field.csv"
+        write_field_csv(path, NodalField(np.array([-0.0, 0.1, 1 / 3, 1e-300, 2.0]), mesh))
+        assert path.read_bytes() == (
+            b"node_index,x,value\r\n"
+            b"0,0,-0\r\n"
+            b"1,0.25,0.10000000000000001\r\n"
+            b"2,0.5,0.33333333333333331\r\n"
+            b"3,0.75,1e-300\r\n"
+            b"4,1,2\r\n"
+        )
+
+    def test_field_dump_bytes_2d(self, tmp_path):
+        mesh = build_mesh((0.0, 3.0), 2, dim=2)
+        path = tmp_path / "field2d.csv"
+        write_field_csv(path, NodalField(np.arange(9) / 4 - 1, mesh))
+        assert path.read_bytes() == (
+            b"node_index,x,y,value\r\n"
+            b"0,0,0,-1\r\n1,1.5,0,-0.75\r\n2,3,0,-0.5\r\n"
+            b"3,0,1.5,-0.25\r\n4,1.5,1.5,0\r\n5,3,1.5,0.25\r\n"
+            b"6,0,3,0.5\r\n7,1.5,3,0.75\r\n8,3,3,1\r\n"
+        )
+
     def test_history_layout(self, tmp_path):
         path = tmp_path / "history.csv"
         write_history_csv(path, [1.0, 0.5, 0.25], [0.5, 0.2])
@@ -395,6 +439,9 @@ class TestCsvIO:
         assert float(rows[1][1]) == 1.0 and math.isnan(float(rows[1][2]))
         assert float(rows[2][1]) == 0.5 and float(rows[2][2]) == 0.5
         assert float(rows[3][1]) == 0.25 and float(rows[3][2]) == 0.2
+        assert path.read_bytes() == (
+            b"k,e_k,increment\r\n0,1,nan\r\n1,0.5,0.5\r\n2,0.25,0.20000000000000001\r\n"
+        )
 
     def test_history_without_truth_errors(self, tmp_path):
         path = tmp_path / "history.csv"
@@ -404,6 +451,7 @@ class TestCsvIO:
         assert len(rows) == 3
         assert math.isnan(float(rows[1][1]))
         assert float(rows[2][2]) == 0.5
+        assert path.read_bytes() == b"k,e_k,increment\r\n0,nan,nan\r\n1,nan,0.5\r\n"
 
     def test_sweep_layout_round_trips(self, tmp_path):
         failure = "time step 3/9: CG stalled, at relative residual 1e-9"
@@ -425,6 +473,12 @@ class TestCsvIO:
         assert int(rows[1][5]) == 17
         assert rows[1][7] == ""
         assert rows[2][7] == failure  # a comma in the text stays in its column
+        assert path.read_bytes() == (
+            b"delta,h,tau,alpha,e_q,iterations,runtime_s,failure\r\n"
+            b"0.001,0.10000000000000001,0.01,0.5,0.0625,17,1.25,\r\n"
+            b"0.0001,0.050000000000000003,0.0050000000000000001,0.5,nan,0,2.5,"
+            b'"time step 3/9: CG stalled, at relative residual 1e-9"\r\n'
+        )
 
 
 class TestAutoFineFactor:

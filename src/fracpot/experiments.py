@@ -225,7 +225,16 @@ def read_field_csv(path, mesh: Mesh) -> NodalField:
         raise ValueError(f"field dump must have {expected} columns for a {mesh.dim}D mesh")
     width = np.fromiter(map(len, rows), dtype=int, count=len(rows))
     _refuse(width != expected, lambda i: f"row {rows[i]} has {width[i]} columns, not {expected}")
-    table = np.array(rows, dtype=float).reshape(-1, expected)
+    try:
+        table = np.array(rows, dtype=float).reshape(-1, expected)
+    except ValueError:  # only now look for the first cell that is not a number
+        for row in rows:
+            for name, cell in zip(header, row):
+                try:
+                    float(cell)  # what np.array calls on each string
+                except ValueError:
+                    raise ValueError(f"row {row}: {name} {cell!r} is not a number") from None
+        raise
     index, values = table[:, 0], table[:, -1]
     stray = (index != np.floor(index)) | (index < 0) | (index >= n)
     _refuse(stray, lambda i: f"row {rows[i]}: the node index is not an integer in 0..{n - 1}")

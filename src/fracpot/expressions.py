@@ -12,12 +12,17 @@ Grammar, from tightest to loosest binding:
 parses as -(x^2).  Known functions: sin, cos, exp, abs, sqrt, tri (triangle
 wave with period 2 and range [0, 1], zero at even integers) and chi(a, b, t)
 (indicator of the closed interval [a, b]).
+
+A parse compiles the text to one closure over numpy ufuncs:
+parse_field_expr returns a FieldExpr that holds the source text and that
+closure, and a call runs the closure on the coordinate arrays.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,34 +34,6 @@ class ExprError(ValueError):
     def __init__(self, message: str, position: int | None = None):
         super().__init__(message if position is None else f"{message} (at offset {position})")
         self.position = position
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple
 
 
 def _tri(t):
@@ -77,171 +54,150 @@ _FUNCTIONS = {
     "chi": (_chi, 3),
 }
 
-_BINOPS = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "/": np.divide,
-    "^": np.power,
-}
+_BINOPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
-_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# A number or a name; no other token starts with a digit, a '.', a letter or '_'.
+_WORD = re.compile(
+    r"(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    position: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    pos = 0
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of text as (kind, text, position), ending with an 'end' token."""
+    tokens, pos = [], 0
     while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(Token(ch, ch, pos))
-            pos += 1
-            continue
-        m = _NUMBER.match(text, pos)
+        ch, m = text[pos], _WORD.match(text, pos)
         if m:
-            tokens.append(Token("number", m.group(), pos))
+            tokens.append((m.lastgroup, m.group(), pos))
             pos = m.end()
-            continue
-        m = _NAME.match(text, pos)
-        if m:
-            tokens.append(Token("name", m.group(), pos))
-            pos = m.end()
-            continue
-        raise ExprError(f"unexpected character {ch!r}", pos)
-    tokens.append(Token("end", "", len(text)))
+        elif ch in "+-*/^(),":
+            tokens.append((ch, ch, pos))
+            pos += 1
+        elif ch.isspace():
+            pos += 1
+        else:
+            raise ExprError(f"unexpected character {ch!r}", pos)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
+def _const(value: float):
+    return lambda env: value
+
+
+def _var(name: str):
+    def read(env):
+        if name not in env:
+            raise ExprError(f"variable {name!r} is not available here")
+        return env[name]
+
+    return read
+
+
+def _apply(func, *args):
+    """The closure of func applied to its argument closures, run left to right."""
+    return lambda env: func(*[arg(env) for arg in args])
+
+
 class _Parser:
+    """Recursive descent over the tokens; each rule returns the closure of its
+    subexpression, a function of the variable environment."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.index]
+    def peek(self) -> str:
+        return self.tokens[self.index][0]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.index]
+    def advance(self) -> tuple[str, str, int]:
         self.index += 1
-        return tok
+        return self.tokens[self.index - 1]
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.position)
-        return self.advance()
+    def expect(self, kind: str) -> None:
+        found, text, position = self.advance()
+        if found != kind:
+            raise ExprError(f"expected {kind!r}, found {text or 'end of input'!r}", position)
 
     def parse(self):
         node = self.expr()
-        tail = self.peek()
-        if tail.kind != "end":
-            raise ExprError(f"unexpected trailing input {tail.text!r}", tail.position)
+        kind, text, position = self.advance()
+        if kind != "end":
+            raise ExprError(f"unexpected trailing input {text!r}", position)
         return node
 
     def expr(self):
         node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.term())
+        while self.peek() in ("+", "-"):
+            node = _apply(_BINOPS[self.advance()[0]], node, self.term())
         return node
 
     def term(self):
         node = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.unary())
+        while self.peek() in ("*", "/"):
+            node = _apply(_BINOPS[self.advance()[0]], node, self.unary())
         return node
 
     def unary(self):
-        if self.peek().kind == "-":
+        if self.peek() == "-":
             self.advance()
-            return Neg(self.unary())
+            return _apply(np.negative, self.unary())
         return self.power()
 
     def power(self):
         node = self.atom()
-        if self.peek().kind == "^":
+        if self.peek() == "^":
             self.advance()
-            node = BinOp("^", node, self.unary())
+            node = _apply(np.power, node, self.unary())
         return node
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "(":
-            self.advance()
+        kind, text, position = self.advance()
+        if kind == "number":
+            return _const(float(text))
+        if kind == "(":
             node = self.expr()
             self.expect(")")
             return node
-        if tok.kind == "name":
-            self.advance()
-            if tok.text == "pi":
-                return Num(float(np.pi))
-            if tok.text in ("x", "y"):
-                return Var(tok.text)
-            if tok.text in _FUNCTIONS:
-                _, arity = _FUNCTIONS[tok.text]
+        if kind == "name":
+            if text == "pi":
+                return _const(float(np.pi))
+            if text in ("x", "y"):
+                return _var(text)
+            if text in _FUNCTIONS:
+                func, arity = _FUNCTIONS[text]
                 self.expect("(")
                 args = [self.expr()]
-                while self.peek().kind == ",":
+                while self.peek() == ",":
                     self.advance()
                     args.append(self.expr())
                 self.expect(")")
                 if len(args) != arity:
-                    raise ExprError(
-                        f"{tok.text} takes {arity} argument(s), got {len(args)}", tok.position
-                    )
-                return Call(tok.text, tuple(args))
-            raise ExprError(f"unknown identifier {tok.text!r}", tok.position)
-        raise ExprError(f"expected a value, found {tok.text or 'end of input'!r}", tok.position)
-
-
-def _eval(node, env):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        if node.name not in env:
-            raise ExprError(f"variable {node.name!r} is not available here")
-        return env[node.name]
-    if isinstance(node, Neg):
-        return np.negative(_eval(node.arg, env))
-    if isinstance(node, BinOp):
-        return _BINOPS[node.op](_eval(node.left, env), _eval(node.right, env))
-    func, _ = _FUNCTIONS[node.func]
-    return func(*(_eval(arg, env) for arg in node.args))
+                    raise ExprError(f"{text} takes {arity} argument(s), got {len(args)}", position)
+                return _apply(func, *args)
+            raise ExprError(f"unknown identifier {text!r}", position)
+        raise ExprError(f"expected a value, found {text or 'end of input'!r}", position)
 
 
 @dataclass(frozen=True)
 class FieldExpr:
     """A parsed field expression, callable on node coordinate arrays.
 
+    Two parses of one text compare and hash equal: only the source takes part.
     A call returns the raw result: a constant stays a scalar, and a non-finite
     value is returned as is.  fem.evaluate_at broadcasts and checks it.
     """
 
     source: str
-    root: object
+    compiled: Callable = field(compare=False, repr=False)
 
     def __call__(self, x, y=None):
         env = {"x": np.asarray(x, dtype=float)}
         if y is not None:
             env["y"] = np.asarray(y, dtype=float)
         with np.errstate(all="ignore"):
-            return _eval(self.root, env)
+            return self.compiled(env)
 
     def __str__(self) -> str:
         return self.source

@@ -392,8 +392,10 @@ class TestCsvIO:
             (3, "2,0.5,1", "node 2 appears 2 times"),  # node 2's row again, in node 3's place
             (2, "2,0.5,nan", "node 2 has a non-finite value"),
             (2, "2.5,0.5,1", r"row \['2.5', '0.5', '1'\]: the node index is not an integer in 0"),
+            (2, "2,0.5,abc", r"row \['2', '0.5', 'abc'\]: value 'abc' is not a number"),
+            (1, "1,0.2x5,1", r"row \['1', '0.2x5', '1'\]: x '0.2x5' is not a number"),
         ],
-        ids=["duplicated-node", "nan-value", "non-integer-index"],
+        ids=["duplicated-node", "nan-value", "non-integer-index", "text-value", "text-coordinate"],
     )
     def test_read_names_the_fault_and_the_first_node_or_row(self, tmp_path, node, line, fault):
         mesh = build_mesh((0.0, 1.0), 4)

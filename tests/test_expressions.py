@@ -1,40 +1,21 @@
 """Tests for the field expression language.
 
-Grammar fixtures (precedence, associativity) are hand-evaluated; the
-round-trip property prints a tree fully parenthesized with ``pretty`` below
-and checks that the text re-parses to an identical tree.
+Grammar fixtures (precedence, associativity) are hand-evaluated; the oracle
+property evaluates random expression text with Python's own parser, whose
+``**`` has the grammar's ``^`` precedence and associativity.
 """
+
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fracpot.expressions import (
-    BinOp,
-    Call,
-    ExprError,
-    Neg,
-    Num,
-    Var,
-    parse_field_expr,
-)
+from fracpot.expressions import ExprError, parse_field_expr
 
 
 def ev(text, x=0.0, y=None):
     return parse_field_expr(text)(x, y)
-
-
-def pretty(node) -> str:
-    """Fully parenthesized text of a parse tree."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{pretty(node.arg)})"
-    if isinstance(node, BinOp):
-        return f"({pretty(node.left)}{node.op}{pretty(node.right)})"
-    return f"{node.func}({','.join(pretty(a) for a in node.args)})"
 
 
 class TestGrammar:
@@ -155,41 +136,66 @@ class TestCalling:
     def test_str_is_source(self):
         assert str(parse_field_expr(" 1 + x ")) == " 1 + x "
 
-    def test_pretty_fully_parenthesized(self):
-        assert pretty(parse_field_expr("1+2*3").root) == "(1.0+(2.0*3.0))"
-        assert pretty(parse_field_expr("-x^2").root) == "(-(x^2.0))"
+    def test_two_parses_of_one_text_are_equal(self):
+        first, second = parse_field_expr("3+cos(0.6*pi*x)"), parse_field_expr("3+cos(0.6*pi*x)")
+        assert first == second and hash(first) == hash(second)
+        assert first != parse_field_expr("3+cos(0.6*pi*x) ")
 
 
-def _ast_strategy():
+def _oracle_tri(t):
+    return 1.0 - np.abs(np.mod(t, 2.0) - 1.0)
+
+
+def _oracle_chi(a, b, t):
+    return np.where((t >= a) & (t <= b), 1.0, 0.0)
+
+
+def _expression_text(depth=4):
+    """Expression text from literals, x, y and pi, with operators drawn most
+    often (hypothesis favours the first branch of one_of and of sampled_from)."""
     leaves = st.one_of(
-        st.builds(Num, st.floats(min_value=0.0, max_value=1e6, allow_nan=False)),
-        st.sampled_from([Var("x"), Var("y")]),
+        st.floats(min_value=0.0, max_value=1e6).map(repr),
+        st.sampled_from(["x", "y", "pi"]),
+    )
+    if depth == 0:
+        return leaves
+    a = _expression_text(depth - 1)
+    names = st.sampled_from(["sin", "cos", "exp", "abs", "sqrt", "tri"])
+    return st.one_of(
+        st.builds("{}{}{}".format, a, st.sampled_from("^-/*+"), a),
+        st.builds("({}{}{})".format, a, st.sampled_from("^-/*+"), a),
+        a.map("-{}".format),
+        leaves,
+        st.builds("{}({})".format, names, a),
+        st.builds("chi({},{},{})".format, a, a, a),
     )
 
-    def extend(children):
-        unary_call = st.builds(
-            Call,
-            st.sampled_from(["sin", "cos", "exp", "abs", "sqrt", "tri"]),
-            st.tuples(children),
-        )
-        chi_call = st.builds(Call, st.just("chi"), st.tuples(children, children, children))
-        binop = st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), children, children)
-        return st.one_of(st.builds(Neg, children), binop, unary_call, chi_call)
 
-    return st.recursive(leaves, extend, max_leaves=12)
+def _as_python(text):
+    """The text as Python: '^' becomes '**', and each literal and pi becomes
+    lit(literal), a float array the points' shape."""
+    text = re.sub(r"\d[\d.]*(?:e[+-]\d+)?|\bpi\b", lambda m: f"lit({m[0]})", text)
+    return text.replace("^", "**")
 
 
-class TestRoundTrip:
-    @settings(max_examples=100)
-    @given(_ast_strategy())
-    def test_pretty_reparses_to_identical_tree(self, root):
-        text = pretty(root)
-        reparsed = parse_field_expr(text)
-        assert reparsed.root == root
-        assert pretty(reparsed.root) == text
-
-    def test_benchmark_sources_round_trip(self):
-        for source in ["3+cos(0.6*pi*x)", "4-tri(x)", "4-chi(2,4,x)-chi(6,8,x)"]:
-            expr = parse_field_expr(source)
-            again = parse_field_expr(pretty(expr.root))
-            assert again.root == expr.root
+class TestPythonOracle:
+    @settings(max_examples=200)
+    @given(
+        _expression_text(),
+        st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), min_size=1, max_size=4),
+    )
+    @example("2^3^x", [(0.5, 0.0)])
+    @example("-x^2-y^-2^x", [(1.5, -2.0)])
+    @example("2-x-3/y/4*x", [(1.5, -2.0)])
+    def test_value_equals_python_eval(self, text, points):
+        # A numpy scalar's ** calls the C library's pow, while np.power may run
+        # a vectorized pow (SVML on AVX-512) that differs in the last bit, so
+        # every literal is an array and every Python operator is an array ufunc.
+        x, y = (np.array(axis) for axis in zip(*points))
+        names = {"x": x, "y": y, "pi": np.pi, "lit": lambda v: np.full(x.shape, v)}
+        names.update(sin=np.sin, cos=np.cos, exp=np.exp, abs=np.abs, sqrt=np.sqrt)
+        names.update(tri=_oracle_tri, chi=_oracle_chi)
+        with np.errstate(all="ignore"):
+            expected = eval(_as_python(text), {"__builtins__": {}}, names)
+        got = np.broadcast_to(parse_field_expr(text)(x, y), x.shape)
+        np.testing.assert_array_equal(got, expected)

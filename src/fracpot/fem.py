@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import numbers
 import os
 import resource
 from dataclasses import dataclass
@@ -69,7 +70,6 @@ class Mesh:
     dim : 1 or 2
     bounds : (a, b), the same interval on every axis
     cells_per_axis : number of cells M per axis
-    h : cell width (b - a) / M
     node_coords : (n_nodes, dim) array of node coordinates
     elements : (n_elements, 2**dim) corner node indices per cell, ordered
         (0,0), (1,0), (0,1), (1,1) in local x-fastest convention
@@ -80,15 +80,15 @@ class Mesh:
     mass, stiffness : the data of M and S
     interior_stencil : (offsets, zero) of the interior x interior block
 
-    The last six depend on the mesh alone; each is built on first use and
-    kept with the mesh, read-only.  `product` multiplies by an operator's
-    data, and the solver's interior block is its one cut.
+    The cell width h = (b - a) / M is read from the bounds and M.  The last
+    six depend on the mesh alone; each is built on first use and kept with
+    the mesh, read-only.  `product` multiplies by an operator's data, and
+    the solver's interior block is its one cut.
     """
 
     dim: int
     bounds: tuple[float, float]
     cells_per_axis: int
-    h: float
     node_coords: np.ndarray
     elements: np.ndarray
     boundary_nodes: np.ndarray
@@ -97,6 +97,10 @@ class Mesh:
     @property
     def n_nodes(self) -> int:
         return self.node_coords.shape[0]
+
+    @property
+    def h(self) -> float:
+        return (self.bounds[1] - self.bounds[0]) / self.cells_per_axis
 
     def matches(self, other: "Mesh") -> bool:
         """Structural compatibility: same box, resolution and dimension."""
@@ -263,6 +267,8 @@ def build_mesh(bounds: tuple[float, float], cells: int, dim: int = 1) -> Mesh:
     a, b = float(bounds[0]), float(bounds[1])
     if not b > a:
         raise ValueError(f"bounds must be increasing, got ({a}, {b})")
+    if not isinstance(cells, numbers.Integral):
+        raise ValueError(f"cells per axis must be an integer, got {cells!r}")
     m = int(cells)
     if m < 2:
         raise ValueError(f"need at least 2 cells per axis, got {cells}")
@@ -272,8 +278,7 @@ def build_mesh(bounds: tuple[float, float], cells: int, dim: int = 1) -> Mesh:
             f"Unable to allocate {need / 2**30:.3g} GiB for the mesh "
             f"({m} cells per axis in {dim}D) within {budget / 2**30:.3g} GiB"
         )
-    h = (b - a) / m
-    axis = a + h * np.arange(m + 1)
+    axis = a + (b - a) / m * np.arange(m + 1)
     axis[-1] = b
     nodes = grid_index(m + 1, dim)
     stride = (m + 1) ** np.arange(dim)
@@ -283,7 +288,6 @@ def build_mesh(bounds: tuple[float, float], cells: int, dim: int = 1) -> Mesh:
         dim=dim,
         bounds=(a, b),
         cells_per_axis=m,
-        h=h,
         node_coords=axis[nodes.T],
         elements=elements,
         boundary_nodes=np.flatnonzero(on_boundary),

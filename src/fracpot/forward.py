@@ -8,15 +8,16 @@ interpolated boundary data.
 
 The Q1 stencil layout, M, S and the interior stencil depend on the mesh
 alone and are kept by the mesh.  Everything else that does not depend on the
-potential (tau^{-alpha} b_0 M + S, the load, nodal f, boundary data, u^0 and
-the CQ weights) is built once per ProblemSpec, on first use, as its
-`discretization`.  A forward solve scatters only M_q, adds its data to that
-of the potential-independent part and gathers the interior block for the
-solver; every other product is `mesh.product` at every node into one
-preallocated buffer, read at the interior nodes, with no sparse-matrix
-operator in the march.  A march holds exactly (N+1) * n_nodes * 8 bytes of
-history and no second copy of it; the history is local to the march, which
-returns u^N and dbar^alpha u^N alone.  A history larger than the memory the
+potential (tau^{-alpha} b_0 M + S, the load, nodal f, u^0 pinned to the
+boundary data, and the CQ weights) is built once per ProblemSpec, on first
+use, as its `discretization`; tau^{-alpha} itself is `spec.scale`.  A
+forward solve scatters only M_q, adds its data to that of the
+potential-independent part and gathers the interior block for the solver;
+every other product is `mesh.product` at every node into one preallocated
+buffer, read at the interior nodes, with no sparse-matrix operator in the
+march.  A march holds exactly (N+1) * n_nodes * 8 bytes of history and no
+second copy of it; the history is local to the march, which returns u^N and
+dbar^alpha u^N alone.  A history larger than the memory the
 process may use is a MemoryError before anything of it is allocated.
 The terminal derivative dbar^alpha u^N comes from the last step itself: that
 step already forms the history part of the convolution, so
@@ -27,6 +28,7 @@ exactly zero on the boundary, whose trace is constant in time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -78,15 +80,14 @@ class ProblemSpec:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not 0.0 < self.T < math.inf:
             raise ValueError(f"final time must be positive and finite, got {self.T}")
+        for name in ("num_steps", "max_iter", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.num_steps < 1:
             raise ValueError(f"need at least one time step, got {self.num_steps}")
         if not self.tau > 0.0:
             raise ValueError(f"time step tau = T/num_steps underflows to {self.tau}")
-        try:
-            scale = self.tau ** (-self.alpha)
-        except OverflowError:
-            scale = math.inf
-        if not math.isfinite(scale):
+        if not math.isfinite(self.scale):
             raise ValueError(f"tau^-alpha overflows for the time step tau = {self.tau:g}")
         if not 0.0 < self.M1 < math.inf:
             raise ValueError(f"potential bound M1 must be positive and finite, got {self.M1}")
@@ -108,6 +109,14 @@ class ProblemSpec:
         return self.T / self.num_steps
 
     @cached_property
+    def scale(self) -> float:
+        """tau^-alpha, inf where it overflows."""
+        try:
+            return self.tau ** (-self.alpha)
+        except OverflowError:
+            return math.inf
+
+    @cached_property
     def discretization(self) -> Discretization:
         """The potential-independent part of the scheme, built on first use.
 
@@ -116,21 +125,17 @@ class ProblemSpec:
         """
         mesh = self.mesh
         ii, bb = mesh.interior_nodes, mesh.boundary_nodes
-        scale = self.tau ** (-self.alpha)
         w = cq_weights(self.alpha, self.num_steps)
-        boundary = interpolate_nodal(self.b_expr, mesh).values[bb]
         u0 = interpolate_nodal(self.v_expr, mesh).values
-        u0[bb] = boundary
+        u0[bb] = interpolate_nodal(self.b_expr, mesh).values[bb]
         return Discretization(
-            scale=scale,
             weights_reversed=np.ascontiguousarray(w[::-1]),
             partial=np.cumsum(w),
             # (s M) + S entry by entry, as scipy adds them, except that an
             # entry that cancels to exactly 0 stays in the data.
-            base_data=(scale * w[0]) * mesh.mass + mesh.stiffness,
+            base_data=(self.scale * w[0]) * mesh.mass + mesh.stiffness,
             load_int=assemble_load(mesh, self.f_expr)[ii],
             f_nodes=interpolate_nodal(self.f_expr, mesh).values,
-            boundary_values=boundary,
             u0=u0,
         )
 
@@ -145,14 +150,12 @@ class Discretization:
     [N - n, N) with the first n history rows.  partial[n] = b_0 + ... + b_n.
     """
 
-    scale: float  # tau^{-alpha}
     weights_reversed: np.ndarray
     partial: np.ndarray
     base_data: np.ndarray  # DIA data of tau^{-alpha} b_0 M + S on the mesh
     load_int: np.ndarray  # interior entries of the load (f, phi_i)
     f_nodes: np.ndarray  # nodal interpolant of f
-    boundary_values: np.ndarray  # b at the boundary nodes
-    u0: np.ndarray  # initial state, pinned to b on the boundary
+    u0: np.ndarray  # initial state, pinned to b on the boundary, where every state keeps it
 
 
 @dataclass(frozen=True)
@@ -193,13 +196,13 @@ def solve_forward(spec: ProblemSpec, q: NodalField) -> ForwardSolution:
     system_ii = prepare_spd(*mesh.interior_block(data))
     history = np.zeros((n_steps + 1, mesh.n_nodes))
     history[0] = setup.u0
-    history[1:, bb] = setup.boundary_values
+    history[1:, bb] = setup.u0[bb]
     u0 = history[0]
     product = np.empty(mesh.n_nodes)  # every node of one product; the interior is read
     # Until step 1 writes it, history[1] is b on the boundary and 0 inside.
     rhs_base = setup.load_int - mesh.product(data, history[1], product)[ii]
     rhs, mass_past = np.empty(ii.size), np.empty(ii.size)
-    scale, weights_reversed, partial = setup.scale, setup.weights_reversed, setup.partial
+    scale, weights_reversed, partial = spec.scale, setup.weights_reversed, setup.partial
     mass = mesh.mass
 
     x = setup.u0[ii]

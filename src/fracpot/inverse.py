@@ -52,10 +52,13 @@ def boundary_psi(spec: ProblemSpec, q) -> np.ndarray:
 @dataclass(frozen=True)
 class ReconstructionResult:
     q_star: NodalField
-    iterations: int
-    increments: np.ndarray
+    increments: np.ndarray  # one increment per iteration
     errors_vs_truth: np.ndarray | None
     converged: bool
+
+    @property
+    def iterations(self) -> int:
+        return len(self.increments)
 
 
 def compute_psi_h(mesh: Mesh, obs: ObservationData) -> NodalField:
@@ -153,7 +156,6 @@ def reconstruct(
             break
     return ReconstructionResult(
         q_star=NodalField(q_vals, mesh),
-        iterations=len(increments),
         increments=np.asarray(increments),
         errors_vs_truth=np.asarray(errors) if errors is not None else None,
         converged=converged,

@@ -56,6 +56,16 @@ Alpha 1 is left out: its errors 4.748e-3, 1.157e-3, 3.659e-4 and 1.415e-4
 read orders 2.04, 1.66 and 1.37, and at N = 80 the iteration wanders at the
 round-off floor (increments near 5e-11) and misses 1e-11 within 100
 iterations.
+
+Noise in the data enters the reconstruction through psi_h, whose interior
+values are M^-1 S applied to the data.  On a uniform 1D grid the symbol of
+that operator at frequency theta is 6 (1 - cos theta) / ((2 + cos theta) h^2),
+whose RMS over theta in [0, pi] is exactly 6 / h^2, so white nodal noise of
+size delta leaves noise of RMS ~6 delta / h^2 in psi_h, whatever the length
+of the domain.  With smooth data plus delta N(0, 1) at the interior nodes
+(seed 0, delta = 1e-6) the RMS of the change in psi_h times h^2 / delta reads
+4.44, 5.62, 5.83, 5.99 and 5.82 at 50, 100, 200, 400 and 1000 cells, alike
+at L = 1, 10 and 100; the fitted exponent of h is 2.08.
 """
 
 import functools
@@ -69,13 +79,14 @@ from fracpot.experiments import relative_error
 from fracpot.expressions import parse_field_expr
 from fracpot.fem import NodalField, build_mesh, interpolate_nodal
 from fracpot.forward import ProblemSpec, solve_forward
-from fracpot.inverse import ObservationData, reconstruct
+from fracpot.inverse import ObservationData, compute_psi_h, reconstruct
 
 ALPHA, T, C = 0.5, 1.0, 1.0
 LAMBDA = math.pi**2 + C
 ORDER_TOLERANCE = 0.1
 SHORT_T = 0.1  # the final time of the alpha 1 and alpha 0.3 studies
 STEPS = [25, 50, 100, 200]
+NOISE = 1e-6  # delta of the data-noise study
 
 
 def series_extent(alpha: float, z: float, digits: int) -> tuple[int, float]:
@@ -289,3 +300,41 @@ def test_the_reconstruction_converges_at_order_one_in_time(alpha):
     errors = [reconstruction_error(100, alpha, num_steps=n) for n in steps]
     observed = orders(errors, [T / n for n in steps])
     assert np.all(np.abs(observed - 1.0) <= ORDER_TOLERANCE), (errors, observed)
+
+
+def data_laplacian_noise(cells: int, length: float = 1.0) -> tuple[float, float]:
+    """(rms, h): the RMS over the interior nodes of psi_h(g + delta n) - psi_h(g)
+    on `cells` cells of (0, length), for the smooth data
+    g = 1 + sin(pi x / length) and noise n ~ N(0, 1) at the interior nodes (seed 0), as make_observation
+    adds it."""
+    mesh = build_mesh((0.0, length), cells)
+    ii = mesh.interior_nodes
+    clean = 1.0 + np.sin(math.pi * mesh.node_coords[:, 0] / length)
+    noisy = clean.copy()
+    noisy[ii] += NOISE * np.random.default_rng(0).standard_normal(ii.size)
+    psi = [
+        compute_psi_h(mesh, ObservationData(NodalField(g, mesh), np.zeros(2))).values[ii]
+        for g in (noisy, clean)
+    ]
+    return float(np.sqrt(np.mean((psi[0] - psi[1]) ** 2))), mesh.h
+
+
+def test_the_data_laplacian_amplifies_noise_at_order_two_in_h():
+    rms, h = np.array([data_laplacian_noise(m) for m in [50, 100, 200, 400, 1000]]).T
+    exponent = -np.polyfit(np.log(h), np.log(rms), 1)[0]
+    assert 1.9 <= exponent <= 2.1, (rms, exponent)
+
+
+def test_the_noise_constant_is_the_rms_of_the_symbol_on_fine_meshes():
+    theta = np.linspace(0.0, math.pi, 100_001)
+    symbol = 6.0 * (1.0 - np.cos(theta)) / (2.0 + np.cos(theta))
+    assert np.sqrt(np.mean(symbol**2)) == pytest.approx(6.0, rel=1e-4)
+    for cells in (400, 1000):
+        rms, h = data_laplacian_noise(cells)
+        assert rms * h**2 / NOISE == pytest.approx(6.0, rel=0.1), cells
+
+
+@pytest.mark.parametrize("cells", [100, 1000])
+def test_the_noise_constant_does_not_depend_on_the_domain_length(cells):
+    (short, h_short), (long, h_long) = (data_laplacian_noise(cells, L) for L in (1.0, 10.0))
+    assert long * h_long**2 == pytest.approx(short * h_short**2, rel=1e-6)

@@ -81,6 +81,12 @@ class TestBuildMesh:
         with pytest.raises(ValueError):
             build_mesh(bounds, cells, dim)
 
+    def test_a_cell_count_must_be_an_integer(self):
+        for cells in (2.7, 4.0):
+            with pytest.raises(ValueError, match=f"cells per axis must be an integer, got {cells}"):
+                build_mesh((0.0, 1.0), cells)
+        assert build_mesh((0.0, 1.0), np.int64(4)).cells_per_axis == 4
+
     def test_matches_is_structural(self):
         a = build_mesh((0.0, 1.0), 4)
         b = build_mesh((0.0, 1.0), 4)
@@ -362,7 +368,6 @@ def reference_mesh(bounds, m, dim):
         dim=dim,
         bounds=(a, b),
         cells_per_axis=m,
-        h=h,
         node_coords=coords,
         elements=elements.astype(np.int64),
         boundary_nodes=np.flatnonzero(on_boundary),

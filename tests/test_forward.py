@@ -97,35 +97,42 @@ def dense_march(spec, q_values):
     return np.array(states)
 
 
-def reference_march(spec, q):
+def convolution_past(spec, history, n):
+    """The march's history part of step n: sum_{j>=1} b_j u^{n-j} - (b_0 + ... + b_n) u^0."""
+    setup, n_steps = spec.discretization, spec.num_steps
+    past = setup.weights_reversed[n_steps - n : n_steps] @ history[:n]
+    past -= setup.partial[n] * history[0]
+    return past
+
+
+def reference_march(spec, q, history_part=convolution_past):
     """The march loop with scipy's sum, fancy indexing and products, kept as
     the oracle; returns (history, terminal derivative, system).  It assembles
     its own M, and (M @ past)[ii] sums each interior row in the order
-    M[ii] @ past does."""
+    M[ii] @ past does.  history_part(spec, history, n) forms step n's past."""
     setup = spec.discretization
     mesh = spec.mesh
     n_steps = spec.num_steps
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
     w0 = cq_weights(spec.alpha, spec.num_steps)[0]
     mass = csr(mesh, mass_matrix(mesh))
-    base = (setup.scale * w0) * mass + csr(mesh, mesh.stiffness)
+    base = (spec.scale * w0) * mass + csr(mesh, mesh.stiffness)
     system = base + csr(mesh, weighted_mass_matrix(mesh, q))
     block = system[np.ix_(ii, ii)]
     system_ii = forward.prepare_spd(*dia_arrays(block))
-    rhs_base = setup.load_int - system[np.ix_(ii, bb)] @ setup.boundary_values
+    rhs_base = setup.load_int - system[np.ix_(ii, bb)] @ setup.u0[bb]
 
     history = np.empty((n_steps + 1, mesh.n_nodes))
     history[0] = setup.u0
-    history[1:, bb] = setup.boundary_values
+    history[1:, bb] = setup.u0[bb]
     x = setup.u0[ii]
     for n in range(1, n_steps + 1):
-        past = setup.weights_reversed[n_steps - n : n_steps] @ history[:n]
-        past -= setup.partial[n] * history[0]
-        rhs = rhs_base - setup.scale * (mass @ past)[ii]
+        past = history_part(spec, history, n)
+        rhs = rhs_base - spec.scale * (mass @ past)[ii]
         x, _ = forward.solve_spd(system_ii, rhs, x0=x)
         history[n, ii] = x
     frac = np.zeros(mesh.n_nodes)
-    frac[ii] = setup.scale * (x + past[ii])
+    frac[ii] = spec.scale * (x + past[ii])
     return history, frac, system
 
 
@@ -370,6 +377,34 @@ class TestMarchOracle:
         np.testing.assert_array_equal(solution.frac_deriv_terminal.values, frac)
 
 
+def sweep_2d_20_steps():
+    """configs/sweep_2d.json on 12^2 cells x 20 steps, with its true potential."""
+    spec = benchmark_problem_2d(cells=12, num_steps=20)
+    return spec, interpolate_nodal(SMOOTH_POTENTIAL_2D, spec.mesh)
+
+
+class TestAlphaOne:
+    """At alpha 1 the weights are [1, -1, 0, ...] and partial[n] = 0 for
+    n >= 1, so the history part of step n is exactly -u^{n-1}: the march
+    needs no convolution to give the same u^N and dbar u^N, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "problem", [recon_1d_small_t, sweep_2d_20_steps], ids=["1d_small_T", "2d_12x20"]
+    )
+    def test_the_history_part_is_minus_the_previous_state(self, problem):
+        spec, q = problem()
+        spec = dataclasses.replace(spec, alpha=1.0)
+        setup = spec.discretization
+        assert setup.weights_reversed[-2:].tolist() == [-1.0, 1.0]
+        assert not setup.weights_reversed[:-2].any() and not setup.partial[1:].any()
+        solution = solve_forward(spec, q)
+        history, frac, _ = reference_march(
+            spec, q, history_part=lambda spec, history, n: -history[n - 1]
+        )
+        np.testing.assert_array_equal(solution.terminal.values, history[-1])
+        np.testing.assert_array_equal(solution.frac_deriv_terminal.values, frac)
+
+
 SPARSE_TYPES = [
     cls for name in dir(sp)
     if name.endswith(("_matrix", "_array")) and isinstance(cls := getattr(sp, name), type)
@@ -516,6 +551,12 @@ class TestValidation:
     def test_time_step_must_give_a_finite_scale(self, T, alpha, match):
         with pytest.raises(ValueError, match=match):
             dataclasses.replace(small_spec(), T=T, alpha=alpha)
+
+    @pytest.mark.parametrize("field", ["num_steps", "max_iter", "seed"])
+    def test_an_integer_field_must_be_an_integer(self, field):
+        with pytest.raises(ValueError, match=rf"{field} must be an integer, got 2\.5"):
+            dataclasses.replace(small_spec(), **{field: 2.5})
+        assert getattr(dataclasses.replace(small_spec(), **{field: np.int64(3)}), field) == 3
 
     def test_tau_property(self):
         assert small_spec(num_steps=2, tau_total=0.2).tau == pytest.approx(0.1, abs=0.0)

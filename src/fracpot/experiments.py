@@ -63,12 +63,12 @@ def make_observation(
 def check_observation_settings(
     delta: float, fine_factor: int | None, fine_step_factor: int | None
 ) -> None:
-    """Reject a negative or NaN noise level and a fine factor below 1.
+    """Reject a negative, infinite or NaN noise level and a fine factor below 1.
 
     A factor of None stands for the caller's default and passes.
     """
-    if not delta >= 0.0:
-        raise ValueError(f"noise level must be nonnegative, got {delta}")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"noise level must be nonnegative and finite, got {delta}")
     for name, factor in (("fine_factor", fine_factor), ("fine_step_factor", fine_step_factor)):
         if factor is not None and factor < 1:
             raise ValueError(f"{name} must be at least 1, got {factor}")
@@ -76,7 +76,7 @@ def check_observation_settings(
 
 def relative_error(q_star: NodalField, q_true, mesh: Mesh) -> float:
     """Relative FE L2 error of a reconstruction against the true potential."""
-    if not q_star.mesh.matches(mesh):
+    if q_star.mesh != mesh:
         raise ValueError("reconstruction is not aligned with the mesh")
     truth = interpolate_nodal(q_true, mesh).values
     denom = mass_norm(truth, mesh)
@@ -105,14 +105,14 @@ class RateTable:
 
 def descending_noise_levels(deltas) -> list[float]:
     """The noise levels of a sweep as floats; there must be at least one, and
-    they must be positive and strictly descending."""
+    they must be positive, finite and strictly descending."""
     levels = [float(d) for d in deltas]
     if not levels:
         raise ValueError("a sweep needs at least one noise level")
-    if not all(d > 0 for d in levels) or not all(
+    if not all(0 < d < math.inf for d in levels) or not all(
         d2 < d1 for d1, d2 in zip(levels, levels[1:])
     ):
-        raise ValueError("noise levels must be positive and strictly descending")
+        raise ValueError("noise levels must be positive, finite and strictly descending")
     return levels
 
 

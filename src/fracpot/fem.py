@@ -20,7 +20,7 @@ import importlib.util
 import numbers
 import os
 import resource
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable
 
@@ -61,7 +61,7 @@ _GAUSS_PTS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _GAUSS_WTS = np.array([0.5, 0.5])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Mesh:
     """Uniform grid over the box (a, b)^dim.
 
@@ -80,19 +80,21 @@ class Mesh:
     mass, stiffness : the data of M and S
     interior_stencil : (offsets, zero) of the interior x interior block
 
-    The cell width h = (b - a) / M is read from the bounds and M.  The last
-    six depend on the mesh alone; each is built on first use and kept with
-    the mesh, read-only.  `product` multiplies by an operator's data, and
-    the solver's interior block is its one cut.
+    A mesh compares and hashes by (dim, bounds, cells_per_axis) alone, so two
+    meshes built alike are equal.  The cell width h = (b - a) / M is read
+    from the bounds and M.  The last six depend on the mesh alone; each is
+    built on first use and kept with the mesh.  Every array a mesh holds is
+    read-only.  `product` multiplies by an operator's data, and the solver's
+    interior block is its one cut.
     """
 
     dim: int
     bounds: tuple[float, float]
     cells_per_axis: int
-    node_coords: np.ndarray
-    elements: np.ndarray
-    boundary_nodes: np.ndarray
-    interior_nodes: np.ndarray
+    node_coords: np.ndarray = field(compare=False)
+    elements: np.ndarray = field(compare=False)
+    boundary_nodes: np.ndarray = field(compare=False)
+    interior_nodes: np.ndarray = field(compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -101,14 +103,6 @@ class Mesh:
     @property
     def h(self) -> float:
         return (self.bounds[1] - self.bounds[0]) / self.cells_per_axis
-
-    def matches(self, other: "Mesh") -> bool:
-        """Structural compatibility: same box, resolution and dimension."""
-        return self is other or (
-            self.dim == other.dim
-            and self.cells_per_axis == other.cells_per_axis
-            and self.bounds == other.bounds
-        )
 
     @cached_property
     def reference(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -262,9 +256,11 @@ def build_mesh(bounds: tuple[float, float], cells: int, dim: int = 1) -> Mesh:
     A mesh whose arrays, or the operators it builds on first use, could
     exceed the memory budget is a MemoryError before any of them is
     allocated."""
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim not in (1, 2):
+        raise ValueError(f"dim must be the integer 1 or 2, got {dim!r}")
     a, b = float(bounds[0]), float(bounds[1])
+    if not np.isfinite([a, b, b - a]).all():
+        raise ValueError(f"bounds and their length b - a must be finite, got ({a}, {b})")
     if not b > a:
         raise ValueError(f"bounds must be increasing, got ({a}, {b})")
     if not isinstance(cells, numbers.Integral):
@@ -284,15 +280,10 @@ def build_mesh(bounds: tuple[float, float], cells: int, dim: int = 1) -> Mesh:
     stride = (m + 1) ** np.arange(dim)
     elements = (stride @ grid_index(m, dim))[:, None] + stride @ grid_index(2, dim)
     on_boundary = ((nodes == 0) | (nodes == m)).any(axis=0)
-    return Mesh(
-        dim=dim,
-        bounds=(a, b),
-        cells_per_axis=m,
-        node_coords=axis[nodes.T],
-        elements=elements,
-        boundary_nodes=np.flatnonzero(on_boundary),
-        interior_nodes=np.flatnonzero(~on_boundary),
+    coords, elements, boundary, interior = _read_only(
+        axis[nodes.T], elements, np.flatnonzero(on_boundary), np.flatnonzero(~on_boundary)
     )
+    return Mesh(int(dim), (a, b), m, coords, elements, boundary, interior)
 
 
 def evaluate_at(func: Callable, coords: np.ndarray) -> np.ndarray:
@@ -343,7 +334,7 @@ def weighted_mass_matrix(mesh: Mesh, q: NodalField) -> np.ndarray:
     The potential enters through its nodal interpolant, so the weighted mass
     integrand is polynomial on every cell and the Gauss rule is exact.
     """
-    if not q.mesh.matches(mesh):
+    if q.mesh != mesh:
         raise ValueError("potential field is not aligned with the mesh")
     phi, _, wq, _ = mesh.reference
     q_at_gauss = q.values[mesh.elements] @ phi

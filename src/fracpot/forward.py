@@ -57,9 +57,8 @@ class ProblemSpec:
 
     v_expr, b_expr and f_expr are callables of the space variables (a parsed
     field expression or any vectorized function); v must agree with b at the
-    boundary nodes.  M1 bounds the admissible potential, M2_floor guards the
-    division by terminal data, fp_tol ends the fixed-point iteration, and seed
-    draws the noise of synthetic observations.
+    boundary nodes.  M1 bounds the admissible potential, fp_tol ends the
+    fixed-point iteration, and seed draws the noise of synthetic observations.
     """
 
     alpha: float
@@ -70,7 +69,6 @@ class ProblemSpec:
     b_expr: Callable
     f_expr: Callable
     M1: float
-    M2_floor: float = 1e-6
     fp_tol: float = 1e-10
     max_iter: int = 50_000
     seed: int = 0
@@ -91,8 +89,6 @@ class ProblemSpec:
             raise ValueError(f"tau^-alpha overflows for the time step tau = {self.tau:g}")
         if not 0.0 < self.M1 < math.inf:
             raise ValueError(f"potential bound M1 must be positive and finite, got {self.M1}")
-        if not self.M2_floor > 0.0:
-            raise ValueError(f"data floor M2_floor must be positive, got {self.M2_floor}")
         if not self.fp_tol > 0.0:
             raise ValueError(f"fixed-point tolerance must be positive, got {self.fp_tol}")
         if self.max_iter < 1:

@@ -19,6 +19,9 @@ from .sparselin import SolveFailure, prepare_spd, solve_spd
 
 logger = logging.getLogger(__name__)
 
+# The least terminal datum the fixed-point map divides by.
+DATA_FLOOR = 1e-6
+
 
 class DataFloorError(RuntimeError):
     """Terminal data dipped below the admissible positive floor."""
@@ -69,7 +72,7 @@ def compute_psi_h(mesh: Mesh, obs: ObservationData) -> NodalField:
     M_ib psi_b are mesh products, on g and on psi_b padded with 0 inside, read
     at the interior nodes; the mass system is cut by its interior block.
     """
-    if not obs.g_delta.mesh.matches(mesh):
+    if obs.g_delta.mesh != mesh:
         raise ValueError("data is not aligned with the mesh")
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
     mass = mesh.mass
@@ -98,11 +101,11 @@ def fixed_point_update(
     return np.clip((f_values - frac_deriv + psi_values) / data_values, 0.0, m1)
 
 
-def _check_floor(obs: ObservationData, spec: ProblemSpec) -> None:
+def _check_floor(obs: ObservationData) -> None:
     low = float(obs.g_delta.values.min())
-    if low < spec.M2_floor:
+    if low < DATA_FLOOR:
         raise DataFloorError(
-            f"terminal data reaches {low:.3e}, below the admissible floor {spec.M2_floor:g}"
+            f"terminal data reaches {low:.3e}, below the admissible floor {DATA_FLOOR:g}"
         )
 
 
@@ -120,7 +123,7 @@ def reconstruct(
     A custom q0 (an expression or callable) replaces the default upper-bound start.
     """
     mesh = spec.mesh
-    _check_floor(obs, spec)
+    _check_floor(obs)
     psi_h = compute_psi_h(mesh, obs)
     f_nodes = spec.discretization.f_nodes
     if q0 is None:

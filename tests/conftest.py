@@ -48,6 +48,9 @@ SMOOTH_POTENTIAL = parse_field_expr("3+cos(0.6*pi*x)")
 TRIANGLE_POTENTIAL = parse_field_expr("4-tri(x)")
 INDICATOR_POTENTIAL = parse_field_expr("4-chi(2,4,x)-chi(6,8,x)")
 SMOOTH_POTENTIAL_2D = parse_field_expr("3-cos(pi*x)*cos(pi*y)")
+# Initial and boundary values of the 1D benchmark that vanish at x = 0 and 10,
+# where the terminal data then stay exactly 0, below the data floor.
+ZERO_BOUNDARY = dict(v_expr=parse_field_expr("x*(10-x)/50"), b_expr=parse_field_expr("0"))
 
 
 def config_problem(name, cells=None, **changes):

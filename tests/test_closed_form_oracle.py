@@ -66,6 +66,18 @@ of the domain.  With smooth data plus delta N(0, 1) at the interior nodes
 (seed 0, delta = 1e-6) the RMS of the change in psi_h times h^2 / delta reads
 4.44, 5.62, 5.83, 5.99 and 5.82 at 50, 100, 200, 400 and 1000 cells, alike
 at L = 1, 10 and 100; the fitted exponent of h is 2.08.
+
+The reconstruction carries that noise into q_star.  With delta N(0, 1) added
+at the interior nodes of the exact data above (alpha 1/2, T = 1, N = cells^2,
+seeds 0, 1 and 2), the change ||q*_delta - q*_0||_M, in units of
+delta / h^2, reads the same to 4 digits at delta = 1e-5 and 1e-6: the noise
+term is linear in delta.  Per seed it reads 1.54, 2.44, 4.08 at 10 cells,
+2.42, 2.19, 3.49 at 20, 2.54, 2.42, 3.57 at 30 and 2.40, 2.90, 3.46 at 40;
+the seed means 2.69, 2.70, 2.85 and 2.92 give the change an exponent of h of
+2.05 over 10-30 cells and 2.06 over 10-40.  The difference of the errors
+e_q(delta) - e_q(0) is no measure of it: at 10 cells and delta = 1e-6 it
+reads 1.1e-5 against a change of 1.5e-4.  The 40-cell column takes ~16 s,
+so the test stops at 30 cells.
 """
 
 import functools
@@ -77,7 +89,7 @@ import pytest
 
 from fracpot.experiments import relative_error
 from fracpot.expressions import parse_field_expr
-from fracpot.fem import NodalField, build_mesh, interpolate_nodal
+from fracpot.fem import NodalField, build_mesh, interpolate_nodal, mass_norm
 from fracpot.forward import ProblemSpec, solve_forward
 from fracpot.inverse import ObservationData, compute_psi_h, reconstruct
 
@@ -171,12 +183,17 @@ def terminal_error(cells: int, num_steps: int, alpha: float = ALPHA, final_time:
     return float(np.abs(solve_forward(spec, q).terminal.values - exact).max())
 
 
-def reconstruction_error(
-    cells: int, alpha: float = ALPHA, dim: int = 1, num_steps: int | None = None
-) -> float:
-    """Relative error of q_star against q = 1, from the exact terminal data on
-    `cells` cells per axis with `num_steps` time steps, cells^2 by default
-    (T = 1, no noise)."""
+def exact_data_reconstruction(
+    cells: int,
+    alpha: float = ALPHA,
+    dim: int = 1,
+    num_steps: int | None = None,
+    noise: float = 0.0,
+    seed: int = 0,
+) -> NodalField:
+    """q_star from the exact terminal data on `cells` cells per axis with
+    `num_steps` time steps, cells^2 by default (T = 1), plus noise * N(0, 1)
+    drawn from `seed` at the interior nodes, as make_observation adds it."""
     mesh = build_mesh((0.0, 1.0), cells, dim)
     mode = "sin(pi*x)" if dim == 1 else "sin(pi*x)*sin(pi*y)"
     spec = ProblemSpec(
@@ -193,10 +210,21 @@ def reconstruction_error(
     )
     amplitude = exact_amplitude(alpha, T, dim)
     g = 1.0 + amplitude * np.prod(np.sin(math.pi * mesh.node_coords), axis=1)
+    ii = mesh.interior_nodes
+    g[ii] += noise * np.random.default_rng(seed).standard_normal(ii.size)
     obs = ObservationData(NodalField(g, mesh), np.zeros(mesh.boundary_nodes.shape))
     result = reconstruct(spec, obs)
     assert result.converged, result.increments[-5:]
-    return relative_error(result.q_star, parse_field_expr(str(C)), mesh)
+    return result.q_star
+
+
+def reconstruction_error(
+    cells: int, alpha: float = ALPHA, dim: int = 1, num_steps: int | None = None
+) -> float:
+    """Relative error of q_star against q = 1, from the exact terminal data
+    (no noise) on `cells` cells per axis with `num_steps` time steps."""
+    q_star = exact_data_reconstruction(cells, alpha, dim, num_steps)
+    return relative_error(q_star, parse_field_expr(str(C)), q_star.mesh)
 
 
 def orders(errors, sizes) -> np.ndarray:
@@ -338,3 +366,19 @@ def test_the_noise_constant_is_the_rms_of_the_symbol_on_fine_meshes():
 def test_the_noise_constant_does_not_depend_on_the_domain_length(cells):
     (short, h_short), (long, h_long) = (data_laplacian_noise(cells, L) for L in (1.0, 10.0))
     assert long * h_long**2 == pytest.approx(short * h_short**2, rel=1e-6)
+
+
+def test_the_reconstruction_noise_term_is_linear_in_delta_and_order_two_in_h():
+    cells, deltas, seeds = [10, 20, 30], [1e-5, 1e-6], [0, 1, 2]
+    gains = np.empty((len(cells), len(seeds), len(deltas)))  # the change in units of delta / h^2
+    for i, m in enumerate(cells):
+        clean = exact_data_reconstruction(m)
+        for j, seed in enumerate(seeds):
+            for k, delta in enumerate(deltas):
+                noisy = exact_data_reconstruction(m, noise=delta, seed=seed)
+                change = mass_norm(noisy.values - clean.values, clean.mesh)
+                gains[i, j, k] = change * clean.mesh.h**2 / delta
+    np.testing.assert_allclose(gains[..., 0], gains[..., 1], rtol=1e-4)
+    h = 1.0 / np.array(cells)
+    exponent = -np.polyfit(np.log(h), np.log(gains.mean(axis=1)[:, -1] / h**2), 1)[0]
+    assert abs(exponent - 2.0) <= ORDER_TOLERANCE, (gains, exponent)

@@ -24,21 +24,18 @@ FULL = {
     "seed": 3,
     "delta": 1e-3,
     "M1": 6.0,
-    "M2_floor": 1e-5,
     "tol": 1e-9,
     "max_iter": 100,
     "alphas": [0.5],
     "deltas": [1e-2],
     "fine_factor": 2,
     "fine_step_factor": 3,
-    "lin_tol": 1e-8,
 }
 # Where each optional key lands in the loaded RunConfig, and its default.
 DEFAULTS = {
     "seed": ("spec.seed", 0),
     "delta": ("delta", 0.0),
     "M1": ("spec.M1", 5.0),
-    "M2_floor": ("spec.M2_floor", 1e-6),
     "tol": ("spec.fp_tol", 1e-10),
     "max_iter": ("spec.max_iter", 50_000),
     "alphas": ("alphas", [0.25, 0.5, 0.75, 1.0]),
@@ -50,7 +47,6 @@ DEFAULTS = {
     "fields.q_boundary": ("q_boundary", None),
     "fields.q0": ("q0", None),
 }
-RETIRED = {"lin_tol"}  # accepted and ignored: it lands nowhere
 
 
 def entries(select):
@@ -117,7 +113,7 @@ def test_a_string_or_boolean_in_a_numeric_key_exits_2_naming_it(
 
 def test_the_numeric_keys_are_found():
     assert {p.id for p in NUMERIC} == {
-        "alpha", "T", "num_steps", "seed", "delta", "M1", "M2_floor", "tol", "max_iter",
+        "alpha", "T", "num_steps", "seed", "delta", "M1", "tol", "max_iter",
         "fine_factor", "fine_step_factor", "domain.a", "domain.b", "domain.cells", "domain.dim",
     }
     assert {p.id for p in NUMBER_LISTS} == {"alphas", "deltas"}
@@ -126,7 +122,7 @@ def test_the_numeric_keys_are_found():
 OPTIONAL = entries(lambda parse, default: default is not REQUIRED)
 
 
-@pytest.mark.parametrize("level, key", [p for p in OPTIONAL if p.id not in RETIRED])
+@pytest.mark.parametrize("level, key", OPTIONAL)
 def test_an_omitted_optional_key_loads_its_default(tmp_path, level, key):
     where, default = DEFAULTS[name(level, key)]
     cfg = load_config(full_config(tmp_path, level, key, drop=True))
@@ -134,4 +130,4 @@ def test_an_omitted_optional_key_loads_its_default(tmp_path, level, key):
 
 
 def test_every_optional_key_has_a_default_here():
-    assert {p.id for p in OPTIONAL} == set(DEFAULTS) | RETIRED
+    assert {p.id for p in OPTIONAL} == set(DEFAULTS)

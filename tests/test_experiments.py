@@ -37,6 +37,7 @@ from conftest import (
     SMOOTH_POTENTIAL,
     SMOOTH_POTENTIAL_2D,
     TRIANGLE_POTENTIAL,
+    ZERO_BOUNDARY,
     benchmark_problem_1d,
     benchmark_problem_2d,
     recon_1d_small_t,
@@ -144,9 +145,9 @@ class TestMakeObservation:
 
     def test_floor_violation_raises(self):
         # make_observation leaves the floor to reconstruct, which checks it once
-        spec = self.spec(M2_floor=10.0)
+        spec = self.spec(**ZERO_BOUNDARY)
         obs = make_observation(spec, SMOOTH_POTENTIAL, 1, 0.0)
-        with pytest.raises(DataFloorError, match="floor"):
+        with pytest.raises(DataFloorError, match="reaches 0.000e[+]00, below the admissible floor"):
             reconstruct(spec, obs)
 
 
@@ -244,7 +245,7 @@ class TestRateSweep:
         assert table.slopes[0.5] == pytest.approx(expected, rel=1e-12)
 
     def test_failed_rows_are_recorded_not_raised(self):
-        template = benchmark_problem_1d(M2_floor=10.0)
+        template = benchmark_problem_1d(**ZERO_BOUNDARY)
         table = rate_sweep(
             template, SMOOTH_POTENTIAL, [0.5, 0.25], [0.5],
             fine_factor=1, fine_step_factor=1,

@@ -75,11 +75,29 @@ class TestBuildMesh:
 
     @pytest.mark.parametrize(
         "bounds, cells, dim",
-        [((1.0, 0.0), 4, 1), ((0.0, 1.0), 1, 1), ((0.0, 1.0), 4, 3), ((0.0, 0.0), 4, 1)],
+        [
+            ((1.0, 0.0), 4, 1),
+            ((0.0, 1.0), 1, 1),
+            ((0.0, 1.0), 4, 3),
+            ((0.0, 0.0), 4, 1),
+            ((0.0, 1e400), 4, 1),
+            ((-1e308, 1e308), 4, 1),
+            ((float("nan"), 1.0), 4, 1),
+            ((0.0, 1.0), 4, 2.0),
+            ((0.0, 1.0), 4, True),
+        ],
     )
     def test_validation(self, bounds, cells, dim):
         with pytest.raises(ValueError):
             build_mesh(bounds, cells, dim)
+
+    def test_the_messages_name_the_bad_bounds_and_dim(self):
+        with pytest.raises(ValueError, match=r"must be finite, got \(-1e\+308, 1e\+308\)"):
+            build_mesh((-1e308, 1e308), 4)
+        for dim in (2.0, True):
+            with pytest.raises(ValueError, match=f"dim must be the integer 1 or 2, got {dim!r}"):
+                build_mesh((0.0, 1.0), 4, dim)
+        assert build_mesh((0.0, 1.0), 4, np.int64(2)).dim == 2
 
     def test_a_cell_count_must_be_an_integer(self):
         for cells in (2.7, 4.0):
@@ -87,12 +105,13 @@ class TestBuildMesh:
                 build_mesh((0.0, 1.0), cells)
         assert build_mesh((0.0, 1.0), np.int64(4)).cells_per_axis == 4
 
-    def test_matches_is_structural(self):
+    def test_meshes_compare_by_value(self):
         a = build_mesh((0.0, 1.0), 4)
         b = build_mesh((0.0, 1.0), 4)
-        c = build_mesh((0.0, 1.0), 5)
-        assert a.matches(b)
-        assert not a.matches(c)
+        assert a == b and hash(a) == hash(b)
+        assert a != build_mesh((0.0, 1.0), 5)
+        assert a != build_mesh((0.0, 2.0), 4)
+        assert a != build_mesh((0.0, 1.0), 4, 2)
 
 
 def traced_peak(build) -> int:
@@ -429,18 +448,20 @@ class TestTensorOracle:
 
 
 class TestSharedArrays:
-    """The reference cell, the offsets and slots of the layout, the interior
-    stencil, M and S are shared by every operator, system and caller of a
-    mesh, and prepare_spd keeps what it is given: an in-place write into any
-    of them must fail."""
+    """The node arrays, the reference cell, the offsets and slots of the
+    layout, the interior stencil, M and S are shared by every operator,
+    system and caller of a mesh, and prepare_spd keeps what it is given: an
+    in-place write into any of them must fail."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_in_place_writes_raise(self, dim):
         mesh = build_mesh((0.0, 1.0), 4, dim)
-        arrays = dict(offsets=mesh.offsets, slot=mesh.slot, mass=mesh.mass, stiffness=mesh.stiffness)
+        names = ("node_coords", "elements", "boundary_nodes", "interior_nodes",
+                 "offsets", "slot", "mass", "stiffness")
+        arrays = {name: getattr(mesh, name) for name in names}
         for name in ("interior_stencil", "reference"):
             arrays.update((f"{name}[{k}]", array) for k, array in enumerate(getattr(mesh, name)))
-        assert len(arrays) == 10
+        assert len(arrays) == 14
         assert [name for name, array in arrays.items() if array.flags.writeable] == []
         for array in arrays.values():
             with pytest.raises(ValueError, match="read-only"):

@@ -532,8 +532,6 @@ class TestValidation:
             ("M1", 0.0),
             ("M1", float("nan")),
             ("M1", float("inf")),
-            ("M2_floor", 0.0),
-            ("M2_floor", float("nan")),
             ("fp_tol", -1.0),
             ("fp_tol", float("nan")),
             ("seed", -1),

@@ -14,7 +14,6 @@ solve_spd that inverse holds when it runs, so compute_psi_h must reproduce it
 bit for bit with the CG and with a dense direct solve.
 """
 
-import dataclasses
 import logging
 import warnings
 
@@ -43,6 +42,7 @@ from fracpot import inverse
 from fracpot.sparselin import SolveFailure
 from conftest import (
     SMOOTH_POTENTIAL,
+    ZERO_BOUNDARY,
     benchmark_problem_1d,
     csr,
     dia_arrays,
@@ -280,10 +280,9 @@ class TestReconstruct:
         assert relative_error(result.q_star, SMOOTH_POTENTIAL, spec.mesh) <= 0.15
 
     def test_data_floor_guard(self):
-        spec, obs = crime_free_setup()
-        tiny = dataclasses.replace(spec, M2_floor=10.0)  # floor above all data values
-        with pytest.raises(DataFloorError, match="floor"):
-            reconstruct(tiny, obs)
+        spec, obs = crime_free_setup(**ZERO_BOUNDARY)
+        with pytest.raises(DataFloorError, match="reaches 0.000e[+]00, below the admissible floor"):
+            reconstruct(spec, obs)
 
     def test_observation_mesh_checked(self):
         spec, obs = crime_free_setup()

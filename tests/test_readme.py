@@ -2,9 +2,8 @@
 
 Every name the "Field expressions support" paragraph lists must parse, and
 the config paragraphs must name the keys of `cli.CONFIG_KEYS`, the one table
-of config keys: "Optional config keys" lists exactly the keys with a default
-but the retired `lin_tol`, and "Whole-number keys" exactly those the table
-reads as integers.
+of config keys: "Optional config keys" lists exactly the keys with a default,
+and "Whole-number keys" exactly those the table reads as integers.
 """
 
 import re
@@ -62,8 +61,7 @@ def test_optional_config_keys_match_the_loader():
     documented = readme_spans("Optional config keys:")
     assert len(documented) == len(set(documented))
     optional = table_keys(lambda parse, default: default is not REQUIRED)
-    assert set(documented) == optional - {"lin_tol"}
-    assert "lin_tol" in optional and "the retired `lin_tol`" in README.read_text()
+    assert set(documented) == optional
 
 
 def test_whole_number_keys_match_the_table():

@@ -121,7 +121,6 @@ CONFIG_KEYS = {
         "seed": (_integer, ProblemSpec.seed),
         "delta": (_real, 0.0),
         "M1": (_real, 5.0),
-        "tol": (_real, ProblemSpec.fp_tol),
         "max_iter": (_integer, ProblemSpec.max_iter),
         "alphas": (_orders, [0.25, 0.5, 0.75, 1.0]),
         "deltas": (_noise_levels, [1e-2, 1e-3, 1e-4, 1e-5]),
@@ -162,7 +161,7 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
             alpha=keys["alpha"], T=keys["T"], num_steps=keys["num_steps"],
             mesh=build_mesh((domain["a"], domain["b"]), domain["cells"], domain["dim"]),
             v_expr=fields["v"], b_expr=fields["b"], f_expr=fields["f"],
-            M1=keys["M1"], fp_tol=keys["tol"], max_iter=keys["max_iter"], seed=keys["seed"],
+            M1=keys["M1"], max_iter=keys["max_iter"], seed=keys["seed"],
         )
         cfg = RunConfig(
             spec=spec,

@@ -195,7 +195,7 @@ def dia_matvec(offsets: np.ndarray, data: np.ndarray, v: np.ndarray, out: np.nda
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodalField:
     """Nodal values of a Q1 function, aligned with the mesh node ordering."""
 

@@ -57,7 +57,7 @@ class ProblemSpec:
 
     v_expr, b_expr and f_expr are callables of the space variables (a parsed
     field expression or any vectorized function); v must agree with b at the
-    boundary nodes.  M1 bounds the admissible potential, fp_tol ends the
+    boundary nodes.  M1 bounds the admissible potential, max_iter caps the
     fixed-point iteration, and seed draws the noise of synthetic observations.
     """
 
@@ -69,7 +69,6 @@ class ProblemSpec:
     b_expr: Callable
     f_expr: Callable
     M1: float
-    fp_tol: float = 1e-10
     max_iter: int = 50_000
     seed: int = 0
 
@@ -89,8 +88,6 @@ class ProblemSpec:
             raise ValueError(f"tau^-alpha overflows for the time step tau = {self.tau:g}")
         if not 0.0 < self.M1 < math.inf:
             raise ValueError(f"potential bound M1 must be positive and finite, got {self.M1}")
-        if not self.fp_tol > 0.0:
-            raise ValueError(f"fixed-point tolerance must be positive, got {self.fp_tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if self.seed < 0:
@@ -136,7 +133,7 @@ class ProblemSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Discretization:
     """Operators and data of a ProblemSpec that do not depend on the potential,
     beyond the layout, M and S, which its mesh keeps.
@@ -154,7 +151,7 @@ class Discretization:
     u0: np.ndarray  # initial state, pinned to b on the boundary, where every state keeps it
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardSolution:
     """Terminal state u^N and its discrete fractional time derivative."""
 

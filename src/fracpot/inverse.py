@@ -21,13 +21,15 @@ logger = logging.getLogger(__name__)
 
 # The least terminal datum the fixed-point map divides by.
 DATA_FLOOR = 1e-6
+# The increment at which the fixed-point iteration stops.
+FP_TOL = 1e-10
 
 
 class DataFloorError(RuntimeError):
     """Terminal data dipped below the admissible positive floor."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationData:
     """Noisy terminal data on the reconstruction mesh, with psi_boundary, the
     known boundary trace q*b - f of the data Laplacian."""
@@ -52,7 +54,7 @@ def boundary_psi(spec: ProblemSpec, q) -> np.ndarray:
     return q_b * b_b - f_b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionResult:
     q_star: NodalField
     increments: np.ndarray  # one increment per iteration
@@ -116,7 +118,7 @@ def reconstruct(
     q0=None,
 ) -> ReconstructionResult:
     """Fixed-point iteration from the upper-bound start until the increment
-    drops below fp_tol or max_iter is reached.
+    is at most FP_TOL or max_iter is reached.
 
     When q_true (an expression or callable) is supplied, the absolute error
     ||q_k - I_h q_true|| is traced per iteration, including the initial guess.
@@ -154,7 +156,7 @@ def reconstruct(
         q_vals = q_next
         if truth is not None:
             errors.append(mass_norm(q_vals - truth, mesh))
-        if increment <= spec.fp_tol:
+        if increment <= FP_TOL:
             converged = True
             break
     return ReconstructionResult(

@@ -348,8 +348,6 @@ class TestConfigErrors:
             ("forward", "T", float("inf")),
             ("sweep", "alphas", []),
             ("sweep", "deltas", []),
-            ("history", "tol", -1),
-            ("history", "tol", float("nan")),
             ("history", "max_iter", 3.7),
             ("history", "num_steps", 5.5),
             ("history", "domain", {"cells": 10.5}),
@@ -416,8 +414,9 @@ class TestConfigErrors:
             ({"fields": {"q_tru": "3"}}, "q_tru", "fields"),
             ({"lin_tol": 1e-8}, "lin_tol", "config"),
             ({"M2_floor": 1e-6}, "M2_floor", "config"),
+            ({"tol": 1e-9}, "tol", "config"),
         ],
-        ids=["domain", "config", "fields", "lin_tol", "M2_floor"],
+        ids=["domain", "config", "fields", "lin_tol", "M2_floor", "tol"],
     )
     def test_an_unknown_key_exits_2_naming_it_and_its_level(
         self, tmp_path, capsys, overrides, key, level

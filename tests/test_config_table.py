@@ -24,7 +24,6 @@ FULL = {
     "seed": 3,
     "delta": 1e-3,
     "M1": 6.0,
-    "tol": 1e-9,
     "max_iter": 100,
     "alphas": [0.5],
     "deltas": [1e-2],
@@ -36,7 +35,6 @@ DEFAULTS = {
     "seed": ("spec.seed", 0),
     "delta": ("delta", 0.0),
     "M1": ("spec.M1", 5.0),
-    "tol": ("spec.fp_tol", 1e-10),
     "max_iter": ("spec.max_iter", 50_000),
     "alphas": ("alphas", [0.25, 0.5, 0.75, 1.0]),
     "deltas": ("deltas", [1e-2, 1e-3, 1e-4, 1e-5]),
@@ -113,7 +111,7 @@ def test_a_string_or_boolean_in_a_numeric_key_exits_2_naming_it(
 
 def test_the_numeric_keys_are_found():
     assert {p.id for p in NUMERIC} == {
-        "alpha", "T", "num_steps", "seed", "delta", "M1", "tol", "max_iter",
+        "alpha", "T", "num_steps", "seed", "delta", "M1", "max_iter",
         "fine_factor", "fine_step_factor", "domain.a", "domain.b", "domain.cells", "domain.dim",
     }
     assert {p.id for p in NUMBER_LISTS} == {"alphas", "deltas"}

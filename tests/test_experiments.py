@@ -55,11 +55,11 @@ class TestBenchmarks:
         assert str(spec.f_expr) == "10"
 
     def test_1d_overrides_pass_through(self):
-        spec = benchmark_problem_1d(alpha=0.75, cells=10, num_steps=5, fp_tol=1e-8)
+        spec = benchmark_problem_1d(alpha=0.75, cells=10, num_steps=5, max_iter=7)
         assert spec.alpha == 0.75
         assert spec.mesh.cells_per_axis == 10
         assert spec.num_steps == 5
-        assert spec.fp_tol == 1e-8
+        assert spec.max_iter == 7
 
     def test_2d_defaults(self):
         spec = benchmark_problem_2d()

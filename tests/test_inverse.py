@@ -14,6 +14,7 @@ solve_spd that inverse holds when it runs, so compute_psi_h must reproduce it
 bit for bit with the CG and with a dense direct solve.
 """
 
+import copy
 import logging
 import warnings
 
@@ -215,6 +216,22 @@ class TestReconstruct:
         assert result.converged
         assert result.iterations <= 30
         assert relative_error(result.q_star, SMOOTH_POTENTIAL, spec.mesh) <= 0.02
+
+    def test_the_iteration_stops_at_the_first_increment_within_fp_tol(self):
+        spec, obs = crime_free_setup()
+        increments = reconstruct(spec, obs).increments
+        assert inverse.FP_TOL == 1e-10
+        assert increments[-1] <= inverse.FP_TOL < increments[-2]
+
+    def test_records_that_hold_arrays_compare_and_hash_by_identity(self):
+        spec, obs = crime_free_setup()
+        result = reconstruct(spec, obs)
+        forward = solve_forward(spec, result.q_star)
+        for record in (obs, result, result.q_star, forward, spec.discretization):
+            twin = copy.copy(record)  # another record over the same arrays
+            assert record == record and record != twin, type(record).__name__
+            assert {record: 1, twin: 2}[record] == 1
+            assert record in [twin, record] and twin not in [record]
 
     def test_increments_decay_geometrically(self):
         spec, obs = crime_free_setup()

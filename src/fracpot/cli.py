@@ -250,11 +250,15 @@ def _cmd_sweep(cfg: RunConfig, args) -> int:
         fine_factor=cfg.fine_factor,
         fine_step_factor=cfg.fine_step_factor,
     )
+    failed = [r for r in table.rows if r.failure is not None]
+    for r in failed:
+        message = f"sweep row (alpha={r.alpha:g}, delta={r.delta:g}) failed: {r.failure}"
+        print(message, file=sys.stderr)
     out = _out_dir(args)
     write_sweep_csv(out / "sweep.csv", table)
     for alpha in alphas:
         print(f"alpha={alpha:g}: fitted slope {table.slopes[alpha]:.4f}")
-    if all(r.failure is not None for r in table.rows):
+    if len(failed) == len(table.rows):
         print("every sweep row failed", file=sys.stderr)
         return 3
     return 0

@@ -10,7 +10,6 @@ the one format rule of every CSV file fracpot writes.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import time
 from dataclasses import dataclass, fields, replace
@@ -22,8 +21,6 @@ from .fem import NodalField, Mesh, build_mesh, interpolate_nodal, mass_norm
 from .forward import ProblemSpec, restrict_to_mesh, solve_forward
 from .inverse import DataFloorError, ObservationData, boundary_psi, reconstruct
 from .sparselin import SolveFailure
-
-logger = logging.getLogger(__name__)
 
 
 def make_observation(
@@ -137,7 +134,7 @@ def rate_sweep(
     Per (alpha, delta): cells = round((b-a)/delta^(1/3)), steps =
     round(10/delta^(1/3)), data from make_observation, then reconstruct and
     record the relative error.  Row i draws its noise from seed
-    template.seed + i.  A failed row names its failure and logs a warning; it
+    template.seed + i.  A failed row names its failure in RateRow.failure; it
     keeps e_q if it exhausts max_iter, and has e_q = nan otherwise.  The table
     carries one log-log slope per alpha, fitted to the rows with finite e_q.
     """
@@ -171,14 +168,8 @@ def rate_sweep(
                 e_q, iterations = float("nan"), 0
                 failure = f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
             runtime = time.perf_counter() - start
-            if failure is not None:
-                logger.warning("sweep row (alpha=%g, delta=%g) failed: %s", alpha, delta, failure)
             h, tau = (b - a) / cells, template.T / steps  # as the row's mesh and spec hold them
             rows.append(RateRow(delta, h, tau, alpha, e_q, iterations, runtime, failure))
-            logger.info(
-                "sweep row alpha=%g delta=%g: e_q=%.4e after %d iterations (%.1fs)",
-                alpha, delta, rows[-1].e_q, rows[-1].iterations, rows[-1].runtime_s,
-            )
     slopes = {}
     for alpha in alphas:
         pts = [(r.delta, r.e_q) for r in rows if r.alpha == alpha and math.isfinite(r.e_q)]

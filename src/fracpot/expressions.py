@@ -186,7 +186,8 @@ class FieldExpr:
 
     Two parses of one text compare and hash equal: only the source takes part.
     A call returns the raw result: a constant stays a scalar, and a non-finite
-    value is returned as is.  fem.evaluate_at broadcasts and checks it.
+    value is returned as is.  fem.evaluate_at broadcasts and checks it.  A
+    call that nests past the interpreter's recursion limit is an ExprError.
     """
 
     source: str
@@ -197,14 +198,23 @@ class FieldExpr:
         if y is not None:
             env["y"] = np.asarray(y, dtype=float)
         with np.errstate(all="ignore"):
-            return self.compiled(env)
+            try:
+                return self.compiled(env)
+            except RecursionError:
+                raise ExprError(f"{self.source[:20]!r}... nests too deeply to evaluate") from None
 
     def __str__(self) -> str:
         return self.source
 
 
 def parse_field_expr(text: str) -> FieldExpr:
-    """Parse an expression; raises ExprError with a byte offset on bad input."""
+    """Parse an expression; raises ExprError with a byte offset on bad input,
+    nesting deeper than the interpreter's recursion limit included."""
     if not text or not text.strip():
         raise ExprError("empty expression", 0)
-    return FieldExpr(text, _Parser(text).parse())
+    parser = _Parser(text)
+    try:
+        return FieldExpr(text, parser.parse())
+    except RecursionError:
+        position = parser.tokens[parser.index][2]
+        raise ExprError("expression nests too deeply to parse", position) from None

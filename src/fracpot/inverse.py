@@ -8,7 +8,6 @@ linearly once the final time is large enough.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +15,6 @@ import numpy as np
 from .fem import Mesh, NodalField, evaluate_at, interpolate_nodal, mass_norm
 from .forward import ProblemSpec, solve_forward
 from .sparselin import SolveFailure, prepare_spd, solve_spd
-
-logger = logging.getLogger(__name__)
 
 # The least terminal datum the fixed-point map divides by.
 DATA_FLOOR = 1e-6
@@ -137,7 +134,7 @@ def reconstruct(
 
     increments = []
     converged = False
-    for k in range(spec.max_iter):
+    for _ in range(spec.max_iter):
         forward = solve_forward(spec, NodalField(q_vals, mesh))
         q_next = fixed_point_update(
             f_nodes,
@@ -148,11 +145,6 @@ def reconstruct(
         )
         increment = mass_norm(q_next - q_vals, mesh)
         increments.append(increment)
-        if logger.isEnabledFor(logging.DEBUG):
-            uphill = float(np.mean(q_next > q_vals + mesh.h))
-            logger.debug(
-                "iteration %d: increment %.3e, uphill fraction %.3f", k + 1, increment, uphill
-            )
         q_vals = q_next
         if truth is not None:
             errors.append(mass_norm(q_vals - truth, mesh))

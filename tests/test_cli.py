@@ -9,7 +9,6 @@ point the way a shell invocation would.
 import argparse
 import csv
 import json
-import logging
 import math
 import os
 import subprocess
@@ -197,17 +196,25 @@ class TestSweepAndHistory:
     def test_sweep_with_all_rows_failing_exits_3(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path, **ZERO_BOUNDARY)
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 3
-        assert "every sweep row failed" in capsys.readouterr().err
+        *row_lines, last = capsys.readouterr().err.splitlines()
+        assert last == "every sweep row failed"
         with open(tmp_path / "sweep.csv", newline="") as handle:
-            failures = [row["failure"] for row in csv.DictReader(handle)]
-        assert all("below the admissible floor 1e-06" in f for f in failures)
+            rows = list(csv.DictReader(handle))
+        assert all("below the admissible floor 1e-06" in row["failure"] for row in rows)
+        assert row_lines == [  # one line per failed row, in row order
+            f"sweep row (alpha={float(row['alpha']):g}, delta={float(row['delta']):g}) "
+            f"failed: {row['failure']}"
+            for row in rows
+        ]
 
-    def test_sweep_row_that_exhausts_its_budget_is_a_failed_row(self, tmp_path, capsys, caplog):
+    def test_sweep_row_that_exhausts_its_budget_is_a_failed_row(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path, deltas=[1e-2], max_iter=1)
-        with caplog.at_level(logging.WARNING, logger="fracpot.experiments"):
-            assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 3
-        assert "every sweep row failed" in capsys.readouterr().err
-        assert "iteration budget of 1 exhausted" in caplog.text
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "sweep row (alpha=0.5, delta=0.01) failed: "
+            "iteration budget of 1 exhausted before the tolerance\n"
+            "every sweep row failed\n"
+        )
         with open(tmp_path / "sweep.csv", newline="") as handle:
             row = list(csv.DictReader(handle))[0]
         assert row["iterations"] == "1" and math.isfinite(float(row["e_q"]))  # kept
@@ -404,6 +411,24 @@ class TestConfigErrors:
         assert capsys.readouterr().err == (
             "configuration error: potential values [6, 6] leave the admissible range [0, 5]\n"
         )
+        assert not any(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "f, message",
+        [
+            ("(" * 1200 + "10" + ")" * 1200, "fields.f: expression nests too deeply to parse"),
+            ("+".join(["1"] * 20_000), "'1+1+1+1+1+1+1+1+1+1+'... nests too deeply to evaluate"),
+        ],
+        ids=["parse", "call"],
+    )
+    def test_an_expression_nested_too_deeply_exits_2_with_one_line(
+        self, tmp_path, capsys, f, message
+    ):
+        config = write_config(tmp_path, fields={"f": f})
+        assert main(["forward", "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not any(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ property evaluates random expression text with Python's own parser, whose
 """
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -80,6 +81,28 @@ class TestErrors:
     def test_empty_rejected(self, text):
         with pytest.raises(ExprError):
             parse_field_expr(text)
+
+    def test_nesting_past_the_recursion_limit_is_a_parse_error(self):
+        assert ev("(" * 100 + "10" + ")" * 100) == 10.0
+        text = "(" * 1200 + "10" + ")" * 1200
+        with pytest.raises(ExprError, match="nests too deeply to parse") as err:
+            parse_field_expr(text)
+        assert 0 < err.value.position < 1200  # inside the opening parentheses
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "+".join(["1"] * 20_000),  # a sum parses in a loop but calls 20,000 deep
+            # Two frames a sign when called, one when parsed.
+            "-" * (sys.getrecursionlimit() * 3 // 4) + "1",
+        ],
+        ids=["long-sum", "leading-signs"],
+    )
+    def test_a_parse_too_deep_to_call_is_an_evaluation_error(self, text):
+        expr = parse_field_expr(text)
+        with pytest.raises(ExprError, match="nests too deeply to evaluate") as err:
+            expr(np.array([0.0, 1.0]))
+        assert err.value.position is None
 
     def test_y_unavailable_in_1d(self):
         expr = parse_field_expr("y+1")

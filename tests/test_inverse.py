@@ -4,7 +4,9 @@ The psi_h oracles exploit nodal exactness: central second differences are
 exact on quadratics, so for quadratic data the interior solve must return
 the constant Laplacian exactly (up to solver tolerance).  Reconstruction
 fixtures use crime-free small cases plus the self-consistent delta=0 setup
-where the fixed point recovers the interpolated truth almost exactly.
+where the fixed point recovers the interpolated truth almost exactly.  The
+monotonicity oracle records the potential of every march and checks that the
+iterates fall at every node from the upper-bound start.
 
 `reference_psi_h` is compute_psi_h as it was before the mesh kept M and the
 maps of its blocks: a fresh M, fancy-indexed blocks and scipy products, on
@@ -15,7 +17,6 @@ bit for bit with the CG and with a dense direct solve.
 """
 
 import copy
-import logging
 import warnings
 
 import numpy as np
@@ -42,9 +43,13 @@ from fracpot.inverse import (
 from fracpot import inverse
 from fracpot.sparselin import SolveFailure
 from conftest import (
+    INDICATOR_POTENTIAL,
     SMOOTH_POTENTIAL,
+    SMOOTH_POTENTIAL_2D,
+    TRIANGLE_POTENTIAL,
     ZERO_BOUNDARY,
     benchmark_problem_1d,
+    benchmark_problem_2d,
     csr,
     dia_arrays,
     recon_1d_small_t,
@@ -270,15 +275,6 @@ class TestReconstruct:
         np.testing.assert_array_equal(a.q_star.values, b.q_star.values)
         assert a.iterations == b.iterations
 
-    def test_debug_log_reports_the_uphill_fraction(self, caplog):
-        spec, obs = crime_free_setup()
-        quiet = reconstruct(spec, obs)
-        with caplog.at_level(logging.DEBUG, logger="fracpot.inverse"):
-            logged = reconstruct(spec, obs)
-        lines = [r.getMessage() for r in caplog.records if "uphill fraction" in r.getMessage()]
-        assert len(lines) == logged.iterations
-        np.testing.assert_array_equal(quiet.q_star.values, logged.q_star.values)
-
     def test_initial_guess_overrides_agree(self):
         spec, obs = crime_free_setup()
         from_default = reconstruct(spec, obs)
@@ -311,3 +307,44 @@ class TestReconstruct:
         moved = ObservationData(NodalField(obs.g_delta.values, mesh), obs.psi_boundary)
         with pytest.raises(ValueError, match="aligned"):
             reconstruct(spec, moved)
+
+
+POTENTIALS_1D = {
+    "smooth": SMOOTH_POTENTIAL,
+    "triangle": TRIANGLE_POTENTIAL,
+    "indicator": INDICATOR_POTENTIAL,
+}
+# Each case: the spec builder, its changes on top of 20 steps, the potential.
+MONOTONE_CASES = [
+    *(
+        pytest.param(benchmark_problem_1d, dict(alpha=alpha, cells=25), q, id=f"1d-{alpha}-{name}")
+        for alpha in (0.25, 0.5, 1.0)
+        for name, q in POTENTIALS_1D.items()
+    ),
+    pytest.param(benchmark_problem_2d, dict(cells=12), SMOOTH_POTENTIAL_2D, id="2d"),
+]
+
+
+# Noise-free data at fine factor 1 (the exact fixed point), and noisy data
+# from a mesh and a march twice as fine.
+@pytest.mark.parametrize("fine_factor, delta", [(1, 0.0), (2, 1e-3)], ids=["exact", "noisy"])
+@pytest.mark.parametrize("problem, changes, q_true", MONOTONE_CASES)
+def test_the_iterates_fall_at_every_node_from_the_upper_bound(
+    monkeypatch, problem, changes, q_true, fine_factor, delta
+):
+    """The fixed-point map is monotone and the default start is its upper bound,
+    so every iterate lies below the one before it, node by node."""
+    spec = problem(num_steps=20, **changes)
+    obs = make_observation(spec, q_true, fine_factor, delta)
+    marched = []  # the potential each march of reconstruct receives
+
+    def record(spec, q):
+        marched.append(q.values.copy())
+        return solve_forward(spec, q)
+
+    monkeypatch.setattr(inverse, "solve_forward", record)
+    result = reconstruct(spec, obs)
+    assert result.converged
+    iterates = np.array([*marched, result.q_star.values])
+    assert len(iterates) == result.iterations + 1
+    assert np.all(np.diff(iterates, axis=0) <= 1e-12)

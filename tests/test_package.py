@@ -7,7 +7,9 @@ exist only for the tests: each must have a use in fracpot or in perfbench.
 That check matches bare names, so a method name that several classes define
 must be listed in SHARED_METHODS with the production code that reads it.  A
 public field of a public class counts only through an attribute read: a bare
-name of the same spelling, such as a local variable, does not read it.
+name of the same spelling, such as a local variable, does not read it.  A
+`fields(Class)` call reads every field of Class, as the sweep table's writer
+reads RateRow's.
 The one scipy import is the scipy package itself, in fem, which loads the DIA
 kernel's extension file without the scipy.sparse package.
 """
@@ -83,11 +85,13 @@ def test_the_cli_loads_the_kernel_without_the_scipy_sparse_package():
     proc = run_python(
         "import sys, json, fracpot.cli\n"
         "kernel = sys.modules['scipy.sparse._sparsetools']\n"
-        "print(json.dumps(['scipy.sparse' in sys.modules, kernel.__file__]))"
+        "loaded = [name in sys.modules for name in ('scipy.sparse', 'logging')]\n"
+        "print(json.dumps([*loaded, kernel.__file__]))"
     )
     assert proc.returncode == 0, proc.stderr
-    package_loaded, kernel_file = json.loads(proc.stdout)
+    package_loaded, logging_loaded, kernel_file = json.loads(proc.stdout)
     assert not package_loaded
+    assert not logging_loaded  # the library reports through its records only
     assert kernel_file == importlib.util.find_spec("scipy.sparse._sparsetools").origin
 
 
@@ -174,24 +178,50 @@ def is_field(label: str, node) -> bool:
     return label.count(".") == 2 and isinstance(node, ast.AnnAssign)
 
 
+def enumerated_classes(tree) -> list:
+    """(class name, node id of that name) of every `fields(Class)` call in a tree."""
+    return [
+        (node.args[0].id, id(node.args[0]))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "fields"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Name)
+    ]
+
+
+def test_enumerated_classes_are_found():
+    tree = ast.parse("def dump(rows):\n    return [f.name for f in fields(Row)]\n")
+    assert [name for name, _ in enumerated_classes(tree)] == ["Row"]
+
+
 def test_every_public_name_has_a_production_use():
     """A public name must be read by fracpot itself (not only re-exported by
     __init__.py) or by the perfbench scripts, or be one of perfbench's traced
     layers; tests do not count.  A name read only inside definitions that are
     themselves unused counts as unused too.  A method name that several
     classes define passes only through an entry of SHARED_METHODS.  A field
-    passes only through an attribute read."""
+    passes only through an attribute read or a `fields(Class)` call."""
     production = [p for p in SOURCES if p.name != "__init__.py"] + sorted(PERFBENCH.glob("*.py"))
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in production}
     readers, attribute_readers = {}, {}  # name -> ids of the nodes that read it
+    class_readers = {}  # class name -> ids of the nodes that read all its fields
     for tree in trees.values():
         for name, node_id, is_attribute in reads(tree):
             readers.setdefault(name, []).append(node_id)
             if is_attribute:
                 attribute_readers.setdefault(name, []).append(node_id)
+        for name, node_id in enumerated_classes(tree):
+            class_readers.setdefault(name, []).append(node_id)
+
+    def name_readers(label, name, node):
+        if not is_field(label, node):
+            return readers.get(name, [])
+        return attribute_readers.get(name, []) + class_readers.get(label.split(".")[1], [])
+
     definitions = [
-        (label, (attribute_readers if is_field(label, node) else readers).get(name, []),
-         {node_id for _, node_id, _ in reads(node)})
+        (label, name_readers(label, name, node), {node_id for _, node_id, _ in reads(node)})
         for path, tree in trees.items()
         if path.parent.name == "fracpot"
         for label, name, node in public_definitions(path.stem, tree)
